@@ -39,9 +39,9 @@ EXIT_NUMERIC = 5
 
 _EPILOG = """exit codes:
   0  success
-  2  usage error (bad flags)
+  2  usage error (bad flags, or a non-finite flag value)
   3  I/O error (missing or unwritable file)
-  4  file-format error (bad magic, manifest, or JSON)
+  4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec)
   5  numerical/domain error (rank-deficient, infeasible budget, ...)
 """
 
@@ -50,26 +50,25 @@ def _load_spec(spec_arg: str | None, seed: int | None) -> tm.ToyModelSpec:
     if spec_arg is None or spec_arg == "default":
         spec = tm.default_spec(seed=seed if seed is not None else 0)
     else:
-        with open(spec_arg) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise PackageFormatError(f"{spec_arg}: invalid JSON: {exc}") from None
+        raw = mio.check_fields(mio.read_json(spec_arg), spec_arg)
         if seed is not None:
             raw["seed"] = seed
         spec = tm.ToyModelSpec.from_dict(raw)
     return spec
 
 
-def _load_teacher(model_dir: str) -> tm.ToyModel:
-    pkg = mio.load_model_package(model_dir)
-    return pkg.to_toy_model()
+def _load_factored(args) -> tm.ToyModel:
+    """The --model teacher with full-rank data-aware factors from --calib."""
+    model = mio.load_model_package(args.model).to_toy_model()
+    return tm.attach_factors_from_calibration(model, mio.load_calibration_package(args.calib))
 
 
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int) -> fg.BudgetConstraint:
     if args.target_params is not None:
         target = int(args.target_params)
     elif args.target_ratio is not None:
+        if not np.isfinite(args.target_ratio):
+            raise ValueError(f"--target-ratio must be finite, got {args.target_ratio}")
         target = int(args.target_ratio * spec.dense_param_count(n_inc))
     else:
         raise PackageFormatError("one of --target-params / --target-ratio is required")
@@ -90,7 +89,7 @@ def cmd_gen_teacher(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model = _load_teacher(args.model)
+    model = mio.load_model_package(args.model).to_toy_model()
     X = tm.gen_calibration(model.spec, args.samples, args.seed)
     mats = tm.layer_calibration_matrices(model, X)
     mio.save_calibration_package(args.out, mats, samples=args.samples, seed=args.seed)
@@ -101,9 +100,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compress(args) -> int:
     t0 = time.perf_counter()
-    model = _load_teacher(args.model)
-    mats = mio.load_calibration_package(args.calib)
-    tm.attach_factors_from_calibration(model, mats)
+    model = _load_factored(args)
     caps = model.spec.caps()
     if args.ranks is not None:
         ranks = mio.read_ranks_file(args.ranks)
@@ -112,22 +109,15 @@ def cmd_compress(args) -> int:
                 f"{len(ranks)} ranks for {len(caps)} layers in {args.ranks}"
             )
     elif args.uniform is not None:
+        if not np.isfinite(args.uniform):
+            raise ValueError(f"--uniform must be finite, got {args.uniform}")
         ranks = np.clip(np.floor(args.uniform * caps).astype(np.int64), 1, caps)
     else:
         raise PackageFormatError("one of --ranks / --uniform is required")
 
-    layers = []
-    residuals = []
-    conds = []
-    for W, f, r in zip(model.dense_weights, model.factors, ranks):
-        g = f.truncated(int(r))
-        residuals.append(float(np.linalg.norm(W - g.reconstruct()) / np.linalg.norm(W)))
-        if args.pivga:
-            pf = pivga.pivga_factorize(g)
-            conds.append(pf.cond_b0)
-            layers.append(pf)
-        else:
-            layers.append(g)
+    layers = [f.truncated(int(r)) for f, r in zip(model.factors, ranks)]
+    if args.pivga:
+        layers = [pivga.pivga_factorize(g) for g in layers]
     mio.save_model_package(args.out, model.spec, layers, n_inc=model.n_inc)
 
     mode = "parabolic" if args.pivga else "linear"
@@ -141,8 +131,8 @@ def cmd_compress(args) -> int:
         "stored_params": sum(c.decomposed for c in counts) + model.n_inc,
         "permutation_indices": sum(c.permutation_indices for c in counts),
         "dense_params": model.spec.dense_param_count(model.n_inc),
-        "per_layer_residual": residuals,
-        "pivga_cond_b0": conds or None,
+        "per_layer_residual": [float(x) for x in tm.layer_residuals(model, ranks)],
+        "pivga_cond_b0": [pf.cond_b0 for pf in layers] if args.pivga else None,
         "out": args.out,
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -155,9 +145,7 @@ def cmd_compress(args) -> int:
 
 def cmd_fermigrad(args) -> int:
     t0 = time.perf_counter()
-    model = _load_teacher(args.model)
-    mats = mio.load_calibration_package(args.calib)
-    tm.attach_factors_from_calibration(model, mats)
+    model = _load_factored(args)
     budget = _budget_from_args(args, model.spec, model.n_inc)
     cfg = fg.FermiConfig(T=args.T, r_min=args.r_min)
     sched = fg.RhoSchedule(rho0=args.rho0, alpha=args.alpha, rho_max=args.rho_max)
@@ -165,8 +153,7 @@ def cmd_fermigrad(args) -> int:
                              mu_tol=args.mu_tol, constraint_tol=args.constraint_tol,
                              batch_size=args.batch_size)
     data = tm.gen_calibration(model.spec, args.kl_samples, args.seed)
-    trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt,
-                                          seed=args.seed)
+    trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
     mio.write_ranks_file(args.out_ranks, alloc)
     if args.trajectory:
         mio.write_trajectory_csv(args.trajectory, trajectory)
@@ -207,9 +194,7 @@ def cmd_fermigrad(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
-    model = _load_teacher(args.model)
-    mats = mio.load_calibration_package(args.calib)
-    tm.attach_factors_from_calibration(model, mats)
+    model = _load_factored(args)
     data = tm.gen_calibration(model.spec, args.samples, args.seed)
 
     entries = []
@@ -342,27 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Exception type -> exit code, first match wins: PackageFormatError is a
+# ToolkitError, so it has to come first.
+_EXIT_CODES = (
+    (PackageFormatError, EXIT_FORMAT),
+    (ToolkitError, EXIT_NUMERIC),
+    (OSError, EXIT_IO),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PackageFormatError as exc:
+    except tuple(t for t, _ in _EXIT_CODES) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_FORMAT
-    except ToolkitError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for t, code in _EXIT_CODES if isinstance(exc, t))
 
 
 if __name__ == "__main__":

@@ -44,8 +44,8 @@ class FermiConfig:
     r_min: int = 8
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"temperature must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.T}")
         if self.r_min < 1:
             raise ValueError(f"r_min must be >= 1, got {self.r_min}")
 
@@ -64,10 +64,9 @@ class MuVector:
         if self.mu.shape != self.caps.shape:
             raise DimensionMismatch("mu and caps must have the same length")
 
-    def clamped(self, mu=None) -> "MuVector":
-        """Copy with mu (or the given array) projected into the box."""
-        values = self.mu if mu is None else np.asarray(mu, dtype=np.float64)
-        return MuVector(np.clip(values, self.r_min, self.caps), self.caps, self.r_min)
+    def clamped(self, mu) -> "MuVector":
+        """Copy holding ``mu`` projected into the box."""
+        return MuVector(np.clip(mu, self.r_min, self.caps), self.caps, self.r_min)
 
 
 @dataclass
@@ -86,14 +85,12 @@ class BudgetConstraint:
             raise ValueError(f"mode must be 'linear' or 'parabolic', got {self.mode!r}")
         if np.any(self.a <= 0):
             raise ValueError("all a_l must be positive")
+        if not 0 < self.n_scale < np.inf:
+            raise ValueError(f"n_scale must be positive and finite, got {self.n_scale}")
         if self.n_target <= self.n_inc:
             raise InfeasibleBudget(
                 f"target {self.n_target} does not exceed incompressible count {self.n_inc}"
             )
-
-    @property
-    def b(self) -> int:
-        return self.n_inc
 
     @classmethod
     def from_shapes(cls, shapes, n_target, mode="linear", n_inc=0, n_scale=1e9):
@@ -110,8 +107,8 @@ class RhoSchedule:
     rho_max: float = 2000.0
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.alpha <= 1.0 or self.rho_max < self.rho0:
-            raise ValueError("need rho0 > 0, alpha > 1, rho_max >= rho0")
+        if not (0 < self.rho0 <= self.rho_max < np.inf and 1.0 < self.alpha < np.inf):
+            raise ValueError("need finite rho0 > 0, alpha > 1, rho_max >= rho0")
 
 
 @dataclass
@@ -125,9 +122,9 @@ class OptimizerConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if min(self.step_size, self.max_iters, self.mu_tol,
-               self.constraint_tol, self.batch_size) <= 0:
-            raise ValueError("all optimizer controls must be positive")
+        if not all(0 < v < np.inf for v in (self.step_size, self.max_iters, self.mu_tol,
+                                            self.constraint_tol, self.batch_size)):
+            raise ValueError("all optimizer controls must be positive and finite")
 
 
 @dataclass
@@ -248,15 +245,32 @@ def kl_divergence(teacher_logits, student_logits) -> float:
     return max(0.0, float(np.mean(per_sample)))
 
 
+def layer_inputs(layers, nonlinearity: str, X):
+    """Yield the input of each layer in turn, starting with X itself.
+
+    A layer is anything applied as ``layer @ h``: a dense ndarray,
+    LowRankFactors or PivGaFactors. The activation follows every layer but
+    the last, and the last layer is never applied.
+    """
+    act, _ = ACTIVATIONS[nonlinearity]
+    h = X
+    for layer in layers[:-1]:
+        yield h
+        h = act(layer @ h)
+    yield h
+
+
+def run(layers, nonlinearity: str, X) -> np.ndarray:
+    """Network output (logits) on a batch whose columns are samples."""
+    # a plain loop keeps only the current input alive, unlike unpacking
+    for h in layer_inputs(layers, nonlinearity, X):
+        pass
+    return layers[-1] @ h
+
+
 def dense_forward(weights, nonlinearity: str, X) -> np.ndarray:
     """Run the dense network on a batch (columns are samples); returns logits."""
-    act, _ = ACTIVATIONS[nonlinearity]
-    h = as_matrix(X, "X")
-    last = len(weights) - 1
-    for l, W in enumerate(weights):
-        z = W @ h
-        h = act(z) if l < last else z
-    return z
+    return run(weights, nonlinearity, as_matrix(X, "X"))
 
 
 def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarray:
@@ -287,17 +301,11 @@ def _soft_forward_cached(layers, nonlinearity, X, mu, cfg):
 
 def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
     """Forward pass with each factor pair hard-truncated to its integer rank."""
-    act, _ = ACTIVATIONS[nonlinearity]
     ranks = np.asarray(ranks, dtype=np.int64)
     if len(ranks) != len(layers):
         raise DimensionMismatch(f"{len(ranks)} ranks for {len(layers)} layers")
-    h = as_matrix(X, "X")
-    last = len(layers) - 1
-    for l, f in enumerate(layers):
-        g = f.truncated(int(ranks[l]))
-        z = g.A @ (g.B @ h)
-        h = act(z) if l < last else z
-    return z
+    X = as_matrix(X, "X")
+    return run([f.truncated(int(r)) for f, r in zip(layers, ranks)], nonlinearity, X)
 
 
 def _kl_grad_mu(layers, nonlinearity, teacher_logits, X, mu, cfg):
@@ -351,14 +359,13 @@ def _check_feasible(mu: MuVector, budget: BudgetConstraint):
 
 
 def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig | None = None,
-                   sched: RhoSchedule | None = None, opt_cfg: OptimizerConfig | None = None,
-                   seed: int = 0):
+                   sched: RhoSchedule | None = None, opt_cfg: OptimizerConfig | None = None):
     """Optimize per-layer ranks under the budget; returns (trajectory, allocation).
 
     ``model`` must expose ``dense_weights`` (teacher), ``factors`` (full-rank
     data-aware factor pairs, frozen) and ``nonlinearity``. ``data`` holds
     training samples as columns and is cycled through in fixed order, so the
-    whole loop is deterministic; ``seed`` is recorded for provenance only.
+    whole loop is deterministic.
 
     Each iteration: evaluate KL + penalty gradient on the current batch,
     take one projected gradient step (clamp to the box), advance rho. Stops

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fermigrad
 from .errors import PackageFormatError
 from .pivga import PivGaFactors
 from .svdcompress import LowRankFactors
@@ -98,6 +99,46 @@ def read_indices(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.int64)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
+
+
+# The value kinds check_fields knows; "int" means a JSON integer that fits int64.
+_KINDS = {
+    "object": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "int list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "int pair": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+}
+
+
+def check_fields(obj, where, **fields) -> dict:
+    """Return ``obj`` if it is a JSON object holding each field with its kind.
+
+    ``fields`` maps a key to one of the kinds in ``_KINDS``. A non-object,
+    a missing key or a value of another kind raises PackageFormatError.
+    """
+    if not isinstance(obj, dict):
+        raise PackageFormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise PackageFormatError(f"{where}: missing {key!r}")
+        if not _KINDS[kind](obj[key]):
+            raise PackageFormatError(f"{where}: {key!r} must be {kind}, got {obj[key]!r}")
+    return obj
+
+
+def read_json(path):
+    """Parse a JSON file; malformed content raises PackageFormatError."""
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PackageFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _write_manifest(path: Path, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -105,16 +146,16 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 
 def _read_manifest(path: Path, expected_format: str) -> dict:
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise PackageFormatError(f"{path}: invalid JSON: {exc}") from None
+    manifest = check_fields(read_json(path), path)
     if manifest.get("format") != expected_format:
         raise PackageFormatError(
             f"{path}: format is {manifest.get('format')!r}, expected {expected_format!r}"
         )
-    return manifest
+    return check_fields(manifest, path, layers="list")
+
+
+# The files each layer representation stores, by their key in "files".
+_LAYER_FILES = {"dense": ("W",), "lowrank": ("A", "B"), "pivga": ("C", "D", "perm")}
 
 
 @dataclass
@@ -190,15 +231,25 @@ def save_model_package(out_dir, spec: ToyModelSpec | None, layers, n_inc: int = 
 
 def load_model_package(in_dir) -> LoadedPackage:
     src = Path(in_dir)
-    manifest = _read_manifest(src / "manifest.json", MODEL_FORMAT)
+    path = src / "manifest.json"
+    manifest = _read_manifest(path, MODEL_FORMAT)
+    manifest.setdefault("n_inc", 0)
+    check_fields(manifest, path, n_inc="int")
+    if not manifest["layers"]:
+        raise PackageFormatError(f"{path}: model has no layers")
     spec = None
     if manifest.get("spec") is not None:
         spec = ToyModelSpec.from_dict(manifest["spec"])
     layers = []
-    for entry in manifest["layers"]:
+    for l, entry in enumerate(manifest["layers"]):
+        where = f"{path}: layer {l}"
+        check_fields(entry, where, name="str", repr="str", shape="int pair", files="object")
         kind = entry["repr"]
-        files = entry["files"]
-        shape = tuple(entry["shape"])
+        if kind not in _LAYER_FILES:
+            raise PackageFormatError(f"unknown layer repr {kind!r}")
+        files = check_fields(entry["files"], f"{where} files",
+                             **dict.fromkeys(_LAYER_FILES[kind], "str"))
+        m, n = shape = tuple(entry["shape"])
         if kind == "dense":
             payload = read_matrix(src / files["W"])
             if payload.shape != shape:
@@ -206,43 +257,34 @@ def load_model_package(in_dir) -> LoadedPackage:
                     f"{entry['name']}: file shape {payload.shape} != manifest {shape}"
                 )
         elif kind == "lowrank":
-            payload = LowRankFactors(A=read_matrix(src / files["A"]),
-                                     B=read_matrix(src / files["B"]))
-            if payload.shape != shape or payload.rank != entry["rank"]:
+            r = check_fields(entry, where, rank="int")["rank"]
+            A, B = read_matrix(src / files["A"]), read_matrix(src / files["B"])
+            if A.shape != (m, r) or B.shape != (r, n):
                 raise PackageFormatError(f"{entry['name']}: factor shapes disagree with manifest")
-        elif kind == "pivga":
-            Cmat = read_matrix(src / files["C"])
-            D = read_matrix(src / files["D"])
+            payload = LowRankFactors(A=A, B=B)
+        else:
+            r = check_fields(entry, where, rank="int")["rank"]
+            Cmat, D = read_matrix(src / files["C"]), read_matrix(src / files["D"])
+            if Cmat.shape != (m, r) or D.shape != (r, n - r):
+                raise PackageFormatError(
+                    f"{entry['name']}: C is {Cmat.shape} and D is {D.shape}, manifest "
+                    f"shape {shape} at rank {r} needs {(m, r)} and {(r, n - r)}"
+                )
             perm = read_indices(src / files["perm"])
-            n = int(shape[1])
             if len(perm) != n or sorted(perm.tolist()) != list(range(n)):
                 raise PackageFormatError(f"{entry['name']}: invalid permutation")
-            payload = PivGaFactors(Cmat=Cmat, D=D, perm=perm, rank=int(entry["rank"]),
-                                   n_cols=n, cond_b0=float("nan"))
-        else:
-            raise PackageFormatError(f"unknown layer repr {kind!r}")
+            payload = PivGaFactors(Cmat=Cmat, D=D, perm=perm, rank=r, n_cols=n,
+                                   cond_b0=float("nan"))
         layers.append(PackageLayer(name=entry["name"], shape=shape, kind=kind,
                                    payload=payload))
-    return LoadedPackage(spec=spec, n_inc=int(manifest.get("n_inc", 0)), layers=layers)
+    return LoadedPackage(spec=spec, n_inc=manifest["n_inc"], layers=layers)
 
 
 def package_forward(pkg: LoadedPackage, X) -> np.ndarray:
     """Run a loaded package on a batch (columns are samples)."""
-    from . import fermigrad, pivga
-
     nonlin = pkg.spec.nonlinearity if pkg.spec is not None else "tanh"
-    act, _ = fermigrad.ACTIVATIONS[nonlin]
-    h = np.asarray(X, dtype=np.float64)
-    last = len(pkg.layers) - 1
-    for l, layer in enumerate(pkg.layers):
-        if layer.kind == "dense":
-            z = layer.payload @ h
-        elif layer.kind == "lowrank":
-            z = layer.payload.A @ (layer.payload.B @ h)
-        else:
-            z = pivga.pivga_forward(h, layer.payload)
-        h = act(z) if l < last else z
-    return z
+    return fermigrad.run([l.payload for l in pkg.layers], nonlin,
+                         np.asarray(X, dtype=np.float64))
 
 
 def save_calibration_package(out_dir, mats, samples: int, seed: int) -> None:
@@ -262,9 +304,11 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int) -> None:
 
 def load_calibration_package(in_dir) -> list:
     src = Path(in_dir)
-    manifest = _read_manifest(src / "manifest.json", CALIB_FORMAT)
+    path = src / "manifest.json"
+    manifest = _read_manifest(path, CALIB_FORMAT)
     mats = []
-    for entry in manifest["layers"]:
+    for l, entry in enumerate(manifest["layers"]):
+        check_fields(entry, f"{path}: layer {l}", name="str", file="str", dim="int")
         C = read_matrix(src / entry["file"])
         if C.shape != (entry["dim"], entry["dim"]):
             raise PackageFormatError(f"{entry['name']}: calibration matrix shape mismatch")
@@ -325,10 +369,8 @@ def write_ranks_file(path, allocation) -> None:
 
 
 def read_ranks_file(path) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise PackageFormatError(f"{path}: invalid JSON: {exc}") from None
-    ranks = payload["ranks"] if isinstance(payload, dict) else payload
-    return np.asarray(ranks, dtype=np.int64)
+    """Ranks from a fermigrad ranks file or from a plain JSON list of integers."""
+    payload = read_json(path)
+    if isinstance(payload, list):
+        payload = {"ranks": payload}
+    return np.asarray(check_fields(payload, path, ranks="int list")["ranks"], dtype=np.int64)

@@ -46,6 +46,9 @@ class PivGaFactors:
         W[:, self.perm] = E
         return W
 
+    def __matmul__(self, x) -> np.ndarray:
+        return pivga_forward(x, self)
+
 
 @dataclass
 class ParamCount:
@@ -53,11 +56,6 @@ class ParamCount:
 
     decomposed: int
     permutation_indices: int
-    incompressible: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.decomposed + self.permutation_indices + self.incompressible
 
 
 def select_skeleton_columns(B) -> np.ndarray:

@@ -56,6 +56,10 @@ class LowRankFactors:
     def reconstruct(self) -> np.ndarray:
         return self.A @ self.B
 
+    def __matmul__(self, h) -> np.ndarray:
+        """Apply the layer without forming A @ B: A @ (B @ h)."""
+        return self.A @ (self.B @ h)
+
     def truncated(self, r: int) -> "LowRankFactors":
         """Leading-r slice; for SVD-ordered factors this is the rank-r compression."""
         if not 1 <= r <= self.rank:

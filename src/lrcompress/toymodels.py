@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fermigrad import BudgetConstraint, FermiConfig, RankAllocation, count_params
 from .linalg import as_matrix, cholesky_whiten
-from .svdcompress import CalibState, LowRankFactors, accumulate_calibration, data_aware_svd
+from .svdcompress import CalibState, accumulate_calibration, data_aware_svd
 
 # Condition number of the calibration input covariance.
 CALIB_COND = 100.0
@@ -211,18 +211,7 @@ def attach_data_aware_factors(model: ToyModel, X) -> ToyModel:
         raise DimensionMismatch(
             f"calibration width {X.shape[0]}, model expects {model.spec.input_dim}"
         )
-    act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    factors = []
-    h = X
-    last = len(model.dense_weights) - 1
-    for l, W in enumerate(model.dense_weights):
-        state = accumulate_calibration(CalibState.empty(h.shape[0]), h)
-        S = cholesky_whiten(state.C)
-        factors.append(data_aware_svd(W, S, min(W.shape)))
-        if l < last:
-            h = act(W @ h)
-    model.factors = factors
-    return model
+    return attach_factors_from_calibration(model, layer_calibration_matrices(model, X))
 
 
 def attach_factors_from_calibration(model: ToyModel, mats) -> ToyModel:
@@ -246,15 +235,8 @@ def attach_factors_from_calibration(model: ToyModel, mats) -> ToyModel:
 def layer_calibration_matrices(model: ToyModel, X) -> list:
     """Per-layer input second-moment matrices C_l = H_l H_l^T along the network."""
     X = as_matrix(X, "X")
-    act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    mats = []
-    h = X
-    last = len(model.dense_weights) - 1
-    for l, W in enumerate(model.dense_weights):
-        mats.append(accumulate_calibration(CalibState.empty(h.shape[0]), h).C)
-        if l < last:
-            h = act(W @ h)
-    return mats
+    return [accumulate_calibration(CalibState.empty(h.shape[0]), h).C
+            for h in fermigrad.layer_inputs(model.dense_weights, model.nonlinearity, X)]
 
 
 def _require_factors(model: ToyModel):
@@ -292,14 +274,9 @@ def forward(model: ToyModel, X, mode: str = "dense", mu=None,
     if mode == "pivga":
         if ranks is None:
             raise ValueError("pivga mode needs ranks")
-        act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-        h = X
-        last = len(model.factors) - 1
-        for l, f in enumerate(model.factors):
-            pf = pivga.pivga_factorize(f.truncated(int(ranks[l])))
-            z = pivga.pivga_forward(h, pf)
-            h = act(z) if l < last else z
-        return z
+        layers = [pivga.pivga_factorize(f.truncated(int(ranks[l])))
+                  for l, f in enumerate(model.factors)]
+        return fermigrad.run(layers, model.nonlinearity, X)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -338,13 +315,15 @@ def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
               for (m, n), r in zip(shapes, ranks)) + model.n_inc
     par = sum(pivga.param_count(m, n, int(r), "parabolic").decomposed
               for (m, n), r in zip(shapes, ranks)) + model.n_inc
-    residuals = []
-    for W, f, r in zip(model.dense_weights, model.factors, ranks):
-        diff = W - f.truncated(int(r)).reconstruct()
-        residuals.append(np.linalg.norm(diff) / np.linalg.norm(W))
     return AllocationReport(ranks=ranks, kl=kl, params_linear=lin,
                             params_parabolic=par,
-                            per_layer_residual=np.array(residuals))
+                            per_layer_residual=layer_residuals(model, ranks))
+
+
+def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
+    """Relative residual ||W - A_r B_r||_F / ||W||_F of each layer at its rank."""
+    return np.array([np.linalg.norm(W - f.truncated(int(r)).reconstruct()) / np.linalg.norm(W)
+                     for W, f, r in zip(model.dense_weights, model.factors, ranks)])
 
 
 def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,

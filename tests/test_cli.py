@@ -1,13 +1,15 @@
 """CLI pipeline: subcommands, determinism, exit codes, error mapping."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
-from lrcompress.cli import EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from lrcompress.cli import EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from lrcompress.svdcompress import plain_svd_compress
 
 
 def run(argv):
@@ -236,3 +238,96 @@ class TestErrorMapping:
                     "--out", str(tmp_path / "t")])
         assert code == EXIT_FORMAT
         assert json.loads(capsys.readouterr().err.strip())["error"] == "PackageFormatError"
+
+
+def _one_error_line(capsys) -> dict:
+    """The single JSON line a failing command prints to stderr."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def _edit_manifest(package, edit):
+    path = package / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("key", ["files", "repr", "shape", "rank"])
+    def test_manifest_entry_missing_key(self, pipeline, tmp_path, capsys, key):
+        _, teacher, _ = pipeline
+        pkg = mio.load_model_package(teacher)
+        W0, W1 = (l.payload for l in pkg.layers)
+        model = tmp_path / "model"
+        mio.save_model_package(model, pkg.spec, [plain_svd_compress(W0, 4), W1])
+        _edit_manifest(model, lambda m: m["layers"][0].pop(key))
+        code = run(["calibrate", "--model", str(model), "--samples", "8",
+                    "--seed", "0", "--out", str(tmp_path / "c")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys)["error"] == "PackageFormatError"
+
+    @pytest.mark.parametrize("content", ['{"rank": [3, 6]}', '[1.5, 6]', '["3", 6]',
+                                         '{"ranks": 3}'])
+    def test_malformed_ranks_file(self, pipeline, tmp_path, capsys, content):
+        _, teacher, calib = pipeline
+        ranks = tmp_path / "ranks.json"
+        ranks.write_text(content)
+        code = run(["compress", "--model", str(teacher), "--calib", str(calib),
+                    "--ranks", str(ranks), "--out", str(tmp_path / "s")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys)["error"] == "PackageFormatError"
+
+    @pytest.mark.parametrize("key", ["name", "file", "dim"])
+    def test_calibration_manifest_missing_key(self, pipeline, tmp_path, capsys, key):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        _edit_manifest(bad, lambda m: m["layers"][1].pop(key))
+        code = run(["compress", "--model", str(teacher), "--calib", str(bad),
+                    "--uniform", "0.5", "--out", str(tmp_path / "s")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys)["error"] == "PackageFormatError"
+
+    def test_spec_list_with_seed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([[16, 16], [16, 16]]))
+        code = run(["gen-teacher", "--spec", str(spec), "--seed", "3",
+                    "--out", str(tmp_path / "t")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys)["error"] == "PackageFormatError"
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("flags, topic", [
+        (["-T", "nan"], "temperature"),
+        (["--step", "inf", "--iters", "1"], "optimizer"),
+        (["--rho0", "nan"], "rho0"),
+        (["--alpha", "inf"], "alpha"),
+        (["--rho-max", "inf"], "rho_max"),
+        (["--n-scale", "nan"], "n_scale"),
+        (["--mu-tol", "nan"], "optimizer"),
+        (["--constraint-tol", "inf"], "optimizer"),
+        (["--target-ratio", "inf"], "target-ratio"),
+    ])
+    def test_fermigrad_rejects(self, pipeline, tmp_path, capsys, flags, topic):
+        _, teacher, calib = pipeline
+        ranks = tmp_path / "r.json"
+        argv = ["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                "--target-ratio", "0.6", "--r-min", "2", "--n-scale", "1e7",
+                "--out-ranks", str(ranks)]
+        code = run(argv + flags)
+        assert code == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and topic in err["message"]
+        assert not ranks.exists()
+
+    def test_compress_rejects_nonfinite_uniform(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        out = tmp_path / "s"
+        code = run(["compress", "--model", str(teacher), "--calib", str(calib),
+                    "--uniform", "nan", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert _one_error_line(capsys)["error"] == "ValueError"
+        assert not out.exists()

@@ -314,8 +314,8 @@ class TestOptimizeRanks:
                                               mode="linear", n_scale=1e7)
         cfg = FermiConfig(T=0.01, r_min=2)
         opt = OptimizerConfig(step_size=0.5, max_iters=120, batch_size=16)
-        t1, a1 = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt, seed=5)
-        t2, a2 = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt, seed=5)
+        t1, a1 = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt)
+        t2, a2 = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt)
         assert len(t1) == len(t2)
         for p1, p2 in zip(t1, t2):
             assert np.array_equal(p1.mu, p2.mu)
@@ -444,3 +444,39 @@ class TestValidation:
             BudgetConstraint(n_target=100, a=[10, 10], mode="cubic")
         with pytest.raises(InfeasibleBudget):
             BudgetConstraint(n_target=5, a=[10], n_inc=5)
+
+
+class CountingLayer:
+    """A dense layer that counts how often it is applied."""
+
+    def __init__(self, W):
+        self.W = W
+        self.calls = 0
+
+    def __matmul__(self, h):
+        self.calls += 1
+        return self.W @ h
+
+
+class TestForwardPath:
+    def test_layer_inputs_never_applies_last_layer(self):
+        rng = np.random.default_rng(3)
+        weights = [rng.standard_normal((5, 5)) for _ in range(4)]
+        layers = [CountingLayer(W) for W in weights]
+        X = rng.standard_normal((5, 3))
+        inputs = list(fg.layer_inputs(layers, "tanh", X))
+        assert len(inputs) == 4
+        assert [l.calls for l in layers] == [1, 1, 1, 0]
+        assert inputs[0] is X
+        for W, h_in, h_out in zip(weights, inputs, inputs[1:]):
+            assert np.array_equal(h_out, np.tanh(W @ h_in))
+
+    def test_run_applies_each_layer_once(self):
+        rng = np.random.default_rng(4)
+        weights = [rng.standard_normal((6, 5)), rng.standard_normal((3, 6))]
+        layers = [CountingLayer(W) for W in weights]
+        X = rng.standard_normal((5, 2))
+        y = fg.run(layers, "identity", X)
+        assert [l.calls for l in layers] == [1, 1]
+        assert np.array_equal(y, weights[1] @ (weights[0] @ X))
+        assert np.array_equal(y, fg.dense_forward(weights, "identity", X))

@@ -9,7 +9,7 @@ import pytest
 from lrcompress import PackageFormatError, pivga_factorize, plain_svd_compress
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
-from lrcompress.fermigrad import TrajectoryPoint
+from lrcompress.fermigrad import TrajectoryPoint, dense_forward
 
 
 class TestMatrixFile:
@@ -120,6 +120,22 @@ class TestModelPackage:
         assert np.array_equal(pkg.layers[2].payload.perm, pf.perm)
         rec = pkg.layers[2].payload.reconstruct()
         assert np.allclose(rec, pf.reconstruct())
+        X = rng.standard_normal((12, 7))
+        y = mio.package_forward(pkg, X)
+        ref = dense_forward([W, f.reconstruct(), pf.reconstruct()], "tanh", X)
+        assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_pivga_factor_shapes_checked_on_load(self, tmp_path):
+        rng = np.random.default_rng(6)
+        pf = pivga_factorize(plain_svd_compress(rng.standard_normal((10, 12)), 4))
+        mio.save_model_package(tmp_path / "pkg", None, [pf])
+        mio.write_matrix(tmp_path / "pkg" / "layer_00.D.lrmx", pf.D[:, :-3])
+        with pytest.raises(PackageFormatError, match="D is"):
+            mio.load_model_package(tmp_path / "pkg")
+        mio.write_matrix(tmp_path / "pkg" / "layer_00.D.lrmx", pf.D)
+        mio.write_matrix(tmp_path / "pkg" / "layer_00.C.lrmx", pf.Cmat[:-1])
+        with pytest.raises(PackageFormatError, match="C is"):
+            mio.load_model_package(tmp_path / "pkg")
 
     def test_manifest_shape_mismatch_detected(self, tmp_path):
         spec = tm.default_spec(seed=6)
@@ -129,6 +145,11 @@ class TestModelPackage:
         manifest["layers"][0]["shape"] = [63, 64]
         (tmp_path / "pkg" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(PackageFormatError):
+            mio.load_model_package(tmp_path / "pkg")
+
+    def test_empty_layer_list_rejected(self, tmp_path):
+        mio.save_model_package(tmp_path / "pkg", None, [])
+        with pytest.raises(PackageFormatError, match="no layers"):
             mio.load_model_package(tmp_path / "pkg")
 
     def test_package_forward_matches_dense(self, tmp_path):

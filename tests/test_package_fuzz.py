@@ -1,0 +1,109 @@
+"""Property test: a damaged model package fails with PackageFormatError only.
+
+Each example takes a small saved package (dense + lowrank + pivga layers)
+and applies one damage: drop or retype a manifest key, truncate a file, or
+overwrite one of its bytes. Loading may then fail, but only with
+PackageFormatError (or OSError for a file that is gone); a package that
+still loads must run.
+"""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lrcompress import PackageFormatError, pivga_factorize, plain_svd_compress
+from lrcompress import matrixio as mio
+from lrcompress import toymodels as tm
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+# Values of other JSON types that a manifest key is retyped to.
+RETYPED = [None, True, 0, -1, 3, 2**70, 1.5, "x", "", [], [4], [4, 4], {}, {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def package(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((8, 8))
+    f = plain_svd_compress(rng.standard_normal((8, 8)), 3)
+    pf = pivga_factorize(plain_svd_compress(rng.standard_normal((6, 8)), 3))
+    out = tmp_path_factory.mktemp("fuzz") / "pkg"
+    mio.save_model_package(out, tm.default_spec(seed=1), [W, f, pf])
+    return out
+
+
+def _key_paths(manifest) -> list:
+    """Paths (tuples of keys/indices) to every key of the manifest worth damaging."""
+    paths = [(k,) for k in manifest]
+    for l, entry in enumerate(manifest["layers"]):
+        paths += [("layers", l, k) for k in entry]
+        paths += [("layers", l, "files", k) for k in entry["files"]]
+    return paths
+
+
+@st.composite
+def damages(draw, package):
+    manifest = json.loads((package / "manifest.json").read_text())
+    kind = draw(st.sampled_from(["drop", "retype", "truncate", "corrupt"]))
+    if kind in ("drop", "retype"):
+        path = draw(st.sampled_from(_key_paths(manifest)))
+        return kind, path, draw(st.sampled_from(RETYPED))
+    files = sorted(p.name for p in package.iterdir() if p.name != "manifest.json")
+    name = draw(st.sampled_from(files))
+    size = (package / name).stat().st_size
+    return kind, name, (draw(st.integers(0, size - 1)), draw(st.integers(0, 255)))
+
+
+def _apply(pkg_dir: Path, damage) -> Path | None:
+    """Damage the package in place; returns the damaged data file, if any."""
+    kind, where, value = damage
+    if kind in ("drop", "retype"):
+        manifest = json.loads((pkg_dir / "manifest.json").read_text())
+        node = manifest
+        for key in where[:-1]:
+            node = node[key]
+        if kind == "drop":
+            del node[where[-1]]
+        else:
+            node[where[-1]] = value
+        (pkg_dir / "manifest.json").write_text(json.dumps(manifest))
+        return None
+    path = pkg_dir / where
+    raw = bytearray(path.read_bytes())
+    offset, byte = value
+    if kind == "truncate":
+        del raw[offset:]
+    else:
+        raw[offset] = byte
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_damaged_package_fails_cleanly(package):
+    X = np.random.default_rng(1).standard_normal((8, 5))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(damages(package))
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            pkg_dir = Path(tmp) / "pkg"
+            shutil.copytree(package, pkg_dir)
+            damaged = _apply(pkg_dir, damage)
+            if damaged is not None:
+                reader = mio.read_indices if damaged.suffix == ".idx" else mio.read_matrix
+                try:
+                    reader(damaged)
+                except PackageFormatError:
+                    pass
+            try:
+                loaded = mio.load_model_package(pkg_dir)
+            except (PackageFormatError, OSError):
+                return
+            assert mio.package_forward(loaded, X).shape == (6, 5)
+
+    check()
