@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, InfeasibleBudget, NonFiniteGradient
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InfeasibleBudget,
+    NonFiniteGradient,
+)
 from .linalg import as_matrix
 from .svdcompress import LowRankFactors
 
@@ -431,8 +436,15 @@ def round_and_repair(mu: MuVector, budget: BudgetConstraint) -> RankAllocation:
     While the discrete count exceeds the target, the layer with the largest
     marginal parameter cost per rank (ties: lowest index) is decremented.
     Raises InfeasibleBudget if every layer is pinned at r_min while the
-    count is still over target.
+    count is still over target, and ConvergenceFailure if mu holds a NaN or
+    an infinity (a diverged run has no ranks to round).
     """
+    bad = np.flatnonzero(~np.isfinite(mu.mu))
+    if bad.size:
+        raise ConvergenceFailure(
+            f"cannot round non-finite mu: {bad.size} layer(s), first layer {bad[0]} "
+            f"has mu={mu.mu[bad[0]]}"
+        )
     ranks = np.clip(np.rint(mu.mu).astype(np.int64), mu.r_min, mu.caps)
     achieved = count_params(ranks, budget)
     while achieved > budget.n_target:

@@ -1,9 +1,10 @@
 """Deterministic dense linear-algebra kernels the rest of the toolkit builds on.
 
 SVD and Cholesky delegate to LAPACK (via numpy) with post-processing that
-pins down gauge signs and jitter behaviour; the pivoted elimination used for
-skeleton-column selection is written out explicitly so the pivot order and
-the rank-deficiency threshold are under our control.
+pins down gauge signs and jitter behaviour. Skeleton-column selection reads
+its pivot order from one LAPACK ``getrf`` (partial pivoting: at each step the
+first maximum of the computed magnitudes, as LAPACK ``idamax`` picks it) and
+applies our own rank-deficiency threshold to the diagonal of U.
 
 All computation is in 64-bit floats. Inputs are validated to be finite;
 every function is a pure function of its arguments.
@@ -109,30 +110,49 @@ def lu_row_pivots(M, r: int) -> np.ndarray:
     """First ``r`` pivot-row indices of Gaussian elimination with row pivoting.
 
     Returned in pivot order (the order elimination selected them). At each
-    column the largest-magnitude entry among the remaining rows is chosen,
-    lowest index on ties. Raises RankDeficient if a pivot falls below
-    1e-12 * max|M| before r pivots are found.
+    column the row holding the first maximum of the computed magnitudes
+    among the remaining rows is chosen (LAPACK ``idamax``). Where
+    elimination produces magnitudes that tie exactly, as it can on small
+    integer-valued matrices, round-off in LAPACK's scaling by the
+    reciprocal pivot may break the tie towards a different, equally valid
+    row. Only the first ``r`` columns of M take part. Raises RankDeficient
+    if a pivot falls below 1e-12 * max|M| before r pivots are found.
     """
     M = as_matrix(M, "M")
     rows, cols = M.shape
     if not 1 <= r <= min(rows, cols):
         raise DimensionMismatch(f"need 1 <= r <= min{M.shape}, got r={r}")
-    A = M.copy()
-    idx = np.arange(rows)
     tol = PIVOT_RTOL * float(np.abs(M).max())
-    for k in range(r):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if np.abs(A[p, k]) <= tol:
-            raise RankDeficient(
-                f"pivot {k} magnitude {np.abs(A[p, k]):.3e} below threshold {tol:.3e}"
-            )
-        if p != k:
-            A[[k, p], :] = A[[p, k], :]
-            idx[[k, p]] = idx[[p, k]]
-        if k + 1 < rows:
-            mult = A[k + 1:, k] / A[k, k]
-            A[k + 1:, k:] -= np.outer(mult, A[k, k:])
+    lu, ipiv, _ = scipy.linalg.lapack.dgetrf(M[:, :r])
+    pivots = np.abs(np.diagonal(lu))
+    small = np.flatnonzero(pivots <= tol)
+    if small.size:
+        k = int(small[0])
+        raise RankDeficient(
+            f"pivot {k} magnitude {pivots[k]:.3e} below threshold {tol:.3e}"
+        )
+    # ipiv[k] is the row swapped with row k at step k; replay the swaps.
+    idx = np.arange(rows)
+    for k, p in enumerate(ipiv):
+        idx[k], idx[p] = idx[p], idx[k]
     return idx[:r].copy()
+
+
+def _lu_solve_refined(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with M @ X = rhs (2-D) by LU, plus up to three refinement passes.
+
+    The passes reuse the factorization and push the residual to the
+    round-off floor. The caller validates M and guards its conditioning.
+    """
+    lu_piv = scipy.linalg.lu_factor(M)
+    X = scipy.linalg.lu_solve(lu_piv, rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    for _ in range(3):
+        residual = rhs - M @ X
+        if np.linalg.norm(residual) <= 1e-12 * rhs_norm:
+            break
+        X += scipy.linalg.lu_solve(lu_piv, residual)
+    return X
 
 
 def solve_general(M, RHS) -> np.ndarray:
@@ -158,12 +178,5 @@ def solve_general(M, RHS) -> np.ndarray:
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(f"condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    lu, piv = scipy.linalg.lu_factor(M)
-    X = scipy.linalg.lu_solve((lu, piv), rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    for _ in range(3):
-        residual = rhs - M @ X
-        if np.linalg.norm(residual) <= 1e-12 * rhs_norm:
-            break
-        X += scipy.linalg.lu_solve((lu, piv), residual)
+    X = _lu_solve_refined(M, rhs)
     return X[:, 0] if vector_input else X

@@ -20,6 +20,7 @@ manifest.json naming every layer, its shape and representation
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,14 +104,28 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
 
 
-# The value kinds check_fields knows; "int" means a JSON integer that fits int64.
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_int_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+
+
+# The value kinds check_fields knows; "int" means a JSON integer that fits
+# int64 and "number" such an integer or a finite float.
 _KINDS = {
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
     "str": lambda v: isinstance(v, str),
     "int": _is_int,
+    "int or null": lambda v: v is None or _is_int(v),
+    "number": _is_number,
+    "number or number list": lambda v: _is_number(v) or (
+        isinstance(v, list) and all(map(_is_number, v))),
     "int list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "int pair": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    "int pair": _is_int_pair,
+    "int pair list": lambda v: isinstance(v, list) and all(map(_is_int_pair, v)),
 }
 
 

@@ -6,8 +6,8 @@ block into an implicit identity, dropping r^2 stored parameters:
 
     W_r = A B = Cmat [I | D] P^T,   Cmat = A B0,  D = B0^{-1} B1,
 
-where P gathers the skeleton columns (selected by row-pivoted elimination on
-B^T) to the front. Selection and the D-solve run on B (r x n) rather than on
+where P gathers the skeleton columns (the pivot rows of one LAPACK ``getrf``
+of B^T) to the front. Selection and the D-solve run on B (r x n) rather than on
 the full product: the columns of A @ B are independent exactly when the
 corresponding columns of B are, and B is r x n instead of m x n.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned
-from .linalg import COND_LIMIT, lu_row_pivots, solve_general
+from .linalg import COND_LIMIT, _lu_solve_refined, lu_row_pivots
 from .svdcompress import LowRankFactors
 
 
@@ -83,7 +83,9 @@ def _gauge_fix(f: LowRankFactors, perm: np.ndarray) -> PivGaFactors:
             f"leading block condition {cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "keep the plain factors for this layer"
         )
-    D = solve_general(B0, B1)
+    # B0 is guarded above, so skip solve_general's second condition number.
+    # D is kept in C order, as load_model_package returns it: D @ x2 is faster.
+    D = np.ascontiguousarray(_lu_solve_refined(B0, B1))
     return PivGaFactors(
         Cmat=f.A @ B0,
         D=D,

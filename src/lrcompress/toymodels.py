@@ -108,10 +108,24 @@ class ToyModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyModelSpec":
+        """Build a spec from parsed JSON; any malformed field raises PackageFormatError."""
+        from .matrixio import check_fields  # matrixio imports this module
+
+        where = "bad model spec"
+        check_fields(d, where, layer_shapes="int pair list", planted_ranks="int list")
+        optional = {"spectrum_decay": "number or number list", "noise_floor": "number",
+                    "output_dim": "int or null", "nonlinearity": "str", "seed": "int",
+                    "signal_gain": "number"}
+        check_fields(d, where, **{k: kind for k, kind in optional.items() if k in d})
+        n_layers = len(d["layer_shapes"])
+        if n_layers == 0:
+            raise PackageFormatError(f"{where}: no layers")
+        if isinstance(d.get("spectrum_decay"), list) and len(d["spectrum_decay"]) != n_layers:
+            raise PackageFormatError(f"{where}: one spectrum_decay per layer required")
         try:
             return cls(**d)
-        except TypeError as exc:
-            raise PackageFormatError(f"bad model spec: {exc}") from None
+        except (TypeError, ValueError, DimensionMismatch) as exc:
+            raise PackageFormatError(f"{where}: {exc}") from None
 
 
 @dataclass

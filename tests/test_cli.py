@@ -290,6 +290,23 @@ class TestMalformedInput:
         assert code == EXIT_FORMAT
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
 
+    @pytest.mark.parametrize("fields", [
+        {"noise_floor": "x"},
+        {"nonlinearity": 5},
+        {"layer_shapes": [[16, 16], [16, 12]]},
+        {"spectrum_decay": [3.0]},
+        {"signal_gain": float("nan")},
+        {"layer_shapes": [], "planted_ranks": []},
+    ], ids=["noise_floor_str", "nonlinearity_int", "shapes_not_chaining",
+            "decay_per_layer_count", "signal_gain_nan", "no_layers"])
+    def test_malformed_spec_fields(self, tmp_path, capsys, fields):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"layer_shapes": [[16, 16], [16, 16]],
+                                    "planted_ranks": [4, 6], **fields}))
+        code = run(["gen-teacher", "--spec", str(spec), "--out", str(tmp_path / "t")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys)["error"] == "PackageFormatError"
+
     def test_spec_list_with_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([[16, 16], [16, 16]]))

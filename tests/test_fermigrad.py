@@ -5,6 +5,7 @@ import pytest
 
 from lrcompress import (
     BudgetConstraint,
+    ConvergenceFailure,
     FermiConfig,
     InfeasibleBudget,
     MuVector,
@@ -386,6 +387,16 @@ class TestRoundAndRepair:
         mu = MuVector([2.0, 2.0], [4, 4], r_min=1)   # floor count 16 > 10
         with pytest.raises(InfeasibleBudget):
             round_and_repair(mu, budget)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 10.0, 30.0, 20.0],
+                                     [12.0, 10.0, np.inf, 20.0],
+                                     [12.0, -np.inf, 30.0, 20.0],
+                                     [np.nan, 10.0, np.inf, 20.0]])
+    def test_non_finite_mu_refused(self, bad):
+        budget = BudgetConstraint.from_shapes([(64, 64)] * 4, n_target=10**6,
+                                              mode="linear")
+        with pytest.raises(ConvergenceFailure, match="non-finite mu"):
+            round_and_repair(MuVector(bad, [64] * 4, r_min=1), budget)
 
 
 class TestUniformRanks:

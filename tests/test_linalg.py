@@ -1,5 +1,7 @@
 """Numeric-core contracts: SVD, Cholesky whitening, pivoted LU, solves."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,32 @@ from lrcompress import (
     svd_descending,
 )
 from lrcompress.errors import DimensionMismatch
+from lrcompress.linalg import PIVOT_RTOL
+
+
+def reference_row_pivots(M, r):
+    """Row-pivoted Gaussian elimination written out step by step.
+
+    The oracle for lu_row_pivots: same pivots and the same RankDeficient
+    step, with ties going to the lowest row among equal magnitudes.
+    """
+    A = np.array(M, dtype=np.float64)
+    rows = A.shape[0]
+    idx = np.arange(rows)
+    tol = PIVOT_RTOL * float(np.abs(A).max())
+    for k in range(r):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if np.abs(A[p, k]) <= tol:
+            raise RankDeficient(f"pivot {k} magnitude {np.abs(A[p, k]):.3e}")
+        A[[k, p], :] = A[[p, k], :]
+        idx[[k, p]] = idx[[p, k]]
+        mult = A[k + 1:, k] / A[k, k]
+        A[k + 1:, k:] -= np.outer(mult, A[k, k:])
+    return idx[:r]
+
+
+def _failing_step(exc_info) -> int:
+    return int(re.match(r"pivot (\d+) ", str(exc_info.value)).group(1))
 
 
 class TestSvdDescending:
@@ -153,6 +181,39 @@ class TestLuRowPivots:
         # both rows have the same leading magnitude; row 0 must win
         M = np.array([[2.0, 0.0], [-2.0, 1.0]])
         assert lu_row_pivots(M, 1).tolist() == [0]
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+    def test_matches_reference_elimination(self, shape):
+        rng = np.random.default_rng({"tall": 41, "wide": 43, "square": 47}[shape])
+        for _ in range(40):
+            a, b = sorted(int(v) for v in rng.integers(2, 60, size=2))
+            rows, cols = {"tall": (b, a), "wide": (a, b), "square": (a, a)}[shape]
+            r = int(rng.integers(1, min(rows, cols) + 1))
+            M = rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)
+            assert lu_row_pivots(M, r).tolist() == reference_row_pivots(M, r).tolist()
+
+    def test_rank_deficient_at_reference_step(self):
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            rows = int(rng.integers(4, 40))
+            cols = int(rng.integers(4, 40))
+            q = int(rng.integers(1, min(rows, cols)))
+            M = rng.standard_normal((rows, q)) @ rng.standard_normal((q, cols))
+            r = int(rng.integers(q + 1, min(rows, cols) + 1))
+            with pytest.raises(RankDeficient) as got:
+                lu_row_pivots(M, r)
+            with pytest.raises(RankDeficient) as want:
+                reference_row_pivots(M, r)
+            assert _failing_step(got) == _failing_step(want) == q
+
+    def test_input_untouched(self):
+        # a single column is both C- and Fortran-contiguous, so LAPACK could
+        # factor it in place if the kernel handed over the caller's buffer
+        rng = np.random.default_rng(59)
+        for M in (rng.standard_normal((9, 1)), rng.standard_normal((9, 4))):
+            before = M.copy()
+            lu_row_pivots(M, 1)
+            assert np.array_equal(M, before)
 
     def test_bad_r(self):
         with pytest.raises(DimensionMismatch):

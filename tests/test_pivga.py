@@ -16,6 +16,7 @@ from lrcompress import (
     plain_svd_compress,
     select_skeleton_columns,
 )
+from lrcompress import matrixio as mio
 from lrcompress.errors import DimensionMismatch
 
 
@@ -119,6 +120,28 @@ class TestPivgaFactorize:
         x = np.arange(5.0)
         assert np.allclose(pivga_forward(x, pf), ab @ x)
 
+    def test_condition_number_computed_once(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counting_cond(M, *args, **kwargs):
+            calls.append(np.shape(M))
+            return cond(M, *args, **kwargs)
+
+        f = seeded_factors(16, 20, 30, 6)
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        pf = pivga_factorize(f)
+        assert calls == [(6, 6)]
+        assert pf.cond_b0 == cond(f.B[:, pf.perm[:6]])
+
+    def test_factors_c_contiguous_before_and_after_round_trip(self, tmp_path):
+        pf = pivga_factorize(seeded_factors(17, 24, 40, 8))
+        mio.save_model_package(tmp_path / "pkg", None, [pf])
+        loaded = mio.load_model_package(tmp_path / "pkg").layers[0].payload
+        for factors in (pf, loaded):
+            assert factors.Cmat.flags.c_contiguous
+            assert factors.D.flags.c_contiguous
+        assert np.array_equal(loaded.D, pf.D)
 
 class TestGaugeFixUnpivoted:
     def test_identity_leading_block(self):
