@@ -163,7 +163,7 @@ def cmd_fermigrad(args) -> int:
     report = {
         "command": "fermigrad",
         "config": {
-            "model": args.model, "calib": args.calib, "mode": budget.mode,
+            "model": args.model, "calib": args.calib, "mode": args.mode,
             "target_params": budget.n_target, "n_scale": budget.n_scale,
             "T": cfg.T, "r_min": cfg.r_min, "rho0": sched.rho0, "alpha": sched.alpha,
             "rho_max": sched.rho_max, "step": opt.step_size, "iters": opt.max_iters,

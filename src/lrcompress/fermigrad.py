@@ -69,10 +69,6 @@ class MuVector:
         if self.mu.shape != self.caps.shape:
             raise DimensionMismatch("mu and caps must have the same length")
 
-    def clamped(self, mu) -> "MuVector":
-        """Copy holding ``mu`` projected into the box."""
-        return MuVector(np.clip(mu, self.r_min, self.caps), self.caps, self.r_min)
-
 
 @dataclass
 class BudgetConstraint:
@@ -101,6 +97,20 @@ class BudgetConstraint:
     def from_shapes(cls, shapes, n_target, mode="linear", n_inc=0, n_scale=1e9):
         a = [m + n for (m, n) in shapes]
         return cls(n_target=int(n_target), a=a, mode=mode, n_inc=int(n_inc), n_scale=n_scale)
+
+    def count(self, x):
+        """Parameter count at per-layer ranks x: x.a + N_inc, minus sum(x^2) in parabolic mode."""
+        total = x @ self.a + self.n_inc
+        if self.mode == "parabolic":
+            total -= np.sum(x**2)
+        return total
+
+    def slope(self, x) -> np.ndarray:
+        """d count / dx (a fresh array). At integer ranks r, slope(r -/+ 1/2) is exactly
+        the count freed by lowering / added by raising each rank by one."""
+        if self.mode == "parabolic":
+            return self.a - 2.0 * x
+        return self.a.copy()
 
 
 @dataclass
@@ -166,12 +176,6 @@ def fermi_factors(mu, n_cap: int, temperature: float, length: int | None = None)
     return expit((mu - j) / (n_cap * temperature))
 
 
-def fermi_factor_grad(mu, n_cap: int, temperature: float, length: int | None = None) -> np.ndarray:
-    """dF_j/dmu = F_j (1 - F_j) / (n_cap * T); exactly zero where F saturates."""
-    F = fermi_factors(mu, n_cap, temperature, length)
-    return F * (1.0 - F) / (n_cap * temperature)
-
-
 def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
     """Materialize A @ diag(F) @ B for a full-rank factor pair."""
     F = fermi_factors(mu_l, f.rank, cfg.T)
@@ -180,19 +184,12 @@ def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) ->
 
 def param_count_soft(mu: MuVector, budget: BudgetConstraint) -> float:
     """Continuous parameter count: mu.a + N_inc, minus sum(mu^2) in parabolic mode."""
-    total = float(mu.mu @ budget.a) + budget.n_inc
-    if budget.mode == "parabolic":
-        total -= float(np.sum(mu.mu**2))
-    return total
+    return float(budget.count(mu.mu))
 
 
 def count_params(ranks, budget: BudgetConstraint) -> int:
     """Discrete parameter count of integer ranks under the budget's mode."""
-    r = np.asarray(ranks, dtype=np.int64)
-    total = int(np.rint(r @ budget.a)) + budget.n_inc
-    if budget.mode == "parabolic":
-        total -= int(np.sum(r**2))
-    return total
+    return int(np.rint(budget.count(np.asarray(ranks, dtype=np.int64))))
 
 
 def penalty_loss(n_param: float, budget: BudgetConstraint, rho: float) -> float:
@@ -205,11 +202,8 @@ def penalty_loss(n_param: float, budget: BudgetConstraint, rho: float) -> float:
 
 def penalty_grad(mu: MuVector, budget: BudgetConstraint, rho: float) -> np.ndarray:
     """Closed-form gradient of the budget penalty with respect to mu."""
-    dev = param_count_soft(mu, budget) - budget.n_target
-    coeff = budget.a.copy()
-    if budget.mode == "parabolic":
-        coeff -= 2.0 * mu.mu
-    return rho * dev * coeff / budget.n_scale
+    dev = budget.count(mu.mu) - budget.n_target
+    return rho * dev * budget.slope(mu.mu) / budget.n_scale
 
 
 def rho_schedule(t: int, s: RhoSchedule) -> float:
@@ -283,16 +277,15 @@ def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarr
 
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
     """
-    logits, _ = _soft_forward_cached(layers, nonlinearity, X, mu, cfg)
+    logits, _ = _soft_forward_cached(layers, nonlinearity, as_matrix(X, "X"), mu, cfg)
     return logits
 
 
-def _soft_forward_cached(layers, nonlinearity, X, mu, cfg):
+def _soft_forward_cached(layers, nonlinearity, h, mu, cfg):
     act, _ = ACTIVATIONS[nonlinearity]
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) != len(layers):
         raise DimensionMismatch(f"{len(mu)} mu values for {len(layers)} layers")
-    h = as_matrix(X, "X")
     last = len(layers) - 1
     cache = []
     for l, f in enumerate(layers):
@@ -313,28 +306,33 @@ def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
     return run([f.truncated(int(r)) for f, r in zip(layers, ranks)], nonlinearity, X)
 
 
-def _kl_grad_mu(layers, nonlinearity, teacher_logits, X, mu, cfg):
-    """KL value and its exact gradient wrt mu, by reverse accumulation."""
+def _loss_grad(layers, nonlinearity, log_p, X, mu: MuVector, budget: BudgetConstraint,
+               rho: float, cfg: FermiConfig):
+    """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
+    ``log_p`` holds the teacher log-probabilities (classes x batch)."""
     _, act_deriv = ACTIVATIONS[nonlinearity]
-    logits, cache = _soft_forward_cached(layers, nonlinearity, X, mu, cfg)
-    batch = logits.shape[1]
-    p = softmax(teacher_logits, axis=0)
+    logits, cache = _soft_forward_cached(layers, nonlinearity, X, mu.mu, cfg)
+    p = np.exp(log_p)
     q = softmax(logits, axis=0)
-    kl = kl_divergence(teacher_logits.T, logits.T)
-    delta = (q - p) / batch                      # dKL/dlogits
-    grad = np.zeros(len(layers))
+    # the same student floor as kl_divergence; the max guards round-off at q == p
+    per_sample = np.sum(p * (log_p - np.log(np.maximum(q, Q_FLOOR))), axis=0)
+    kl = max(0.0, float(np.mean(per_sample)))
+    delta = (q - p) / logits.shape[1]            # dKL/dlogits
+    g = np.zeros(len(layers))
     for l in range(len(layers) - 1, -1, -1):
         f = layers[l]
         h_in, u, F = cache[l]
         w = f.A.T @ delta                        # dKL/d(F*u)
         g_F = np.sum(w * u, axis=1)              # dKL/dF_j
-        dF = fermi_factor_grad(mu[l], f.rank, cfg.T)
-        grad[l] = g_F @ dF
+        g[l] = g_F @ (F * (1.0 - F) / (f.rank * cfg.T))   # dF_j/dmu
         if l > 0:
             # h_in is the activated output of layer l-1: chain through it.
             dh = f.B.T @ (F[:, None] * w)
             delta = dh * act_deriv(h_in)
-    return kl, grad
+    g += penalty_grad(mu, budget, rho)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient(f"gradient has non-finite components: {g}")
+    return kl, g
 
 
 def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstraint,
@@ -345,13 +343,9 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
     ``nonlinearity``; ``teacher_logits`` and ``batch`` are column-major
     (out_dim x batch, n_0 x batch), matching the forward passes.
     """
-    _, g_kl = _kl_grad_mu(
-        student.factors, student.nonlinearity, as_matrix(teacher_logits), as_matrix(batch), mu.mu, cfg
-    )
-    g = g_kl + penalty_grad(mu, budget, rho)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient(f"gradient has non-finite components: {g}")
-    return g
+    log_p = _log_softmax(as_matrix(teacher_logits), axis=0)
+    return _loss_grad(student.factors, student.nonlinearity, log_p, as_matrix(batch),
+                      mu, budget, rho, cfg)[1]
 
 
 def _check_feasible(mu: MuVector, budget: BudgetConstraint):
@@ -390,44 +384,31 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
 
     n_samples = data.shape[1]
     bs = min(opt_cfg.batch_size, n_samples)
-    teacher_cache: dict[int, np.ndarray] = {}
+    teacher_log_p: dict[int, np.ndarray] = {}
     trajectory: list[TrajectoryPoint] = []
 
     for t in range(opt_cfg.max_iters):
         start = (t * bs) % n_samples
         cols = (start + np.arange(bs)) % n_samples
         batch = data[:, cols]
-        if start not in teacher_cache:
-            teacher_cache[start] = dense_forward(model.dense_weights, model.nonlinearity, batch)
-        teacher_logits = teacher_cache[start]
+        if start not in teacher_log_p:
+            teacher_log_p[start] = _log_softmax(
+                dense_forward(model.dense_weights, model.nonlinearity, batch), axis=0)
 
         rho = rho_schedule(t, sched)
-        kl, g_kl = _kl_grad_mu(
-            model.factors, model.nonlinearity, teacher_logits, batch, mu.mu, fermi_cfg
-        )
-        g = g_kl + penalty_grad(mu, budget, rho)
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"gradient has non-finite components at iteration {t}")
-
-        new_mu = mu.clamped(mu.mu - opt_cfg.step_size * g)
-        step_inf = float(np.max(np.abs(new_mu.mu - mu.mu)))
-        mu = new_mu
+        kl, g = _loss_grad(model.factors, model.nonlinearity, teacher_log_p[start], batch,
+                           mu, budget, rho, fermi_cfg)
+        new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
+        step_inf = float(np.max(np.abs(new_mu - mu.mu)))
+        mu.mu = new_mu
         n_param = param_count_soft(mu, budget)
-        trajectory.append(TrajectoryPoint(iteration=t, mu=mu.mu.copy(), rho=rho,
+        trajectory.append(TrajectoryPoint(iteration=t, mu=new_mu, rho=rho,
                                           kl=kl, n_param=n_param))
         violation = abs(n_param - budget.n_target) / budget.n_target
         if step_inf < opt_cfg.mu_tol and violation < opt_cfg.constraint_tol:
             break
 
     return trajectory, round_and_repair(mu, budget)
-
-
-def _decrement_cost(ranks, budget: BudgetConstraint) -> np.ndarray:
-    """Parameters freed by lowering each layer's rank by one."""
-    cost = budget.a.copy()
-    if budget.mode == "parabolic":
-        cost -= 2.0 * ranks - 1.0
-    return cost
 
 
 def round_and_repair(mu: MuVector, budget: BudgetConstraint) -> RankAllocation:
@@ -448,7 +429,7 @@ def round_and_repair(mu: MuVector, budget: BudgetConstraint) -> RankAllocation:
     ranks = np.clip(np.rint(mu.mu).astype(np.int64), mu.r_min, mu.caps)
     achieved = count_params(ranks, budget)
     while achieved > budget.n_target:
-        cost = _decrement_cost(ranks, budget)
+        cost = budget.slope(ranks - 0.5)
         cost[ranks <= mu.r_min] = -np.inf
         pick = int(np.argmax(cost))
         if not np.isfinite(cost[pick]):
@@ -497,9 +478,7 @@ def uniform_ranks(shapes, budget: BudgetConstraint, r_min: int = 1) -> RankAlloc
     ranks = chosen
     achieved = count_params(ranks, budget)
     while True:
-        cost = budget.a.copy()
-        if budget.mode == "parabolic":
-            cost -= 2.0 * ranks + 1.0
+        cost = budget.slope(ranks + 0.5)
         cost[ranks >= caps] = np.inf
         cost[achieved + cost > budget.n_target] = np.inf
         pick = int(np.argmin(cost))

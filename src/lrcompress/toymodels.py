@@ -76,6 +76,12 @@ class ToyModelSpec:
             )
         if self.nonlinearity not in fermigrad.ACTIVATIONS:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if not 0 < self.signal_gain < np.inf:
+            raise ValueError(f"signal_gain must be positive and finite, got {self.signal_gain}")
+        if not 0 <= self.noise_floor < np.inf:
+            raise ValueError(f"noise_floor must be non-negative and finite, got {self.noise_floor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def input_dim(self) -> int:

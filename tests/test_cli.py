@@ -297,8 +297,12 @@ class TestMalformedInput:
         {"spectrum_decay": [3.0]},
         {"signal_gain": float("nan")},
         {"layer_shapes": [], "planted_ranks": []},
+        {"signal_gain": 0},
+        {"noise_floor": -1e-3},
+        {"seed": -1},
     ], ids=["noise_floor_str", "nonlinearity_int", "shapes_not_chaining",
-            "decay_per_layer_count", "signal_gain_nan", "no_layers"])
+            "decay_per_layer_count", "signal_gain_nan", "no_layers", "signal_gain_zero",
+            "noise_floor_negative", "seed_negative"])
     def test_malformed_spec_fields(self, tmp_path, capsys, fields):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"layer_shapes": [[16, 16], [16, 16]],

@@ -140,6 +140,22 @@ class TestParamCountSoft:
             assert fg.count_params(ranks, budget) == discrete
 
 
+class TestBudgetSlope:
+    @pytest.mark.parametrize("mode", ["linear", "parabolic"])
+    def test_half_step_slope_is_exact_count_change(self, mode):
+        rng = np.random.default_rng(70)
+        for _ in range(50):
+            shapes = [tuple(rng.integers(2, 40, size=2)) for _ in range(rng.integers(1, 5))]
+            caps = np.array([min(m, n) for m, n in shapes])
+            budget = BudgetConstraint.from_shapes(shapes, n_target=10**6, mode=mode,
+                                                  n_inc=int(rng.integers(0, 100)))
+            r = rng.integers(1, caps + 1)
+            down, up = budget.slope(r - 0.5), budget.slope(r + 0.5)
+            for l, e in enumerate(np.eye(len(r), dtype=np.int64)):
+                assert down[l] == fg.count_params(r, budget) - fg.count_params(r - e, budget)
+                assert up[l] == fg.count_params(r + e, budget) - fg.count_params(r, budget)
+
+
 class TestPenaltyLoss:
     def budget(self):
         return BudgetConstraint.from_shapes([(8, 8)], n_target=100, n_scale=1e9)
@@ -326,6 +342,25 @@ class TestOptimizeRanks:
         for p in t1:
             assert np.all(p.mu >= cfg.r_min - 1e-12)
             assert np.all(p.mu <= caps + 1e-12)
+
+    def test_kl_column_is_batch_kl_before_the_step(self):
+        spec, model, X = small_model(seed=12)
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.3 * spec.dense_param_count()),
+            mode="linear", n_scale=1e6)
+        cfg = FermiConfig(T=0.01, r_min=2)
+        bs = 16
+        # a long step moves mu far from the caps, so late rows carry a KL near 1e-2
+        opt = OptimizerConfig(step_size=20.0, max_iters=60, batch_size=bs)
+        traj, _ = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt)
+        assert len(traj) == 60
+        for t in (0, 1, 17, 40, 59):
+            batch = X[:, (t * bs + np.arange(bs)) % X.shape[1]]
+            teacher = fg.dense_forward(model.dense_weights, spec.nonlinearity, batch)
+            mu_before = spec.caps() if t == 0 else traj[t - 1].mu
+            student = fg.soft_forward(model.factors, spec.nonlinearity, batch, mu_before, cfg)
+            assert traj[t].kl > 0.0
+            assert abs(traj[t].kl - kl_divergence(teacher.T, student.T)) <= 1e-14
 
     def test_rho_column_follows_schedule(self):
         spec, model, X = small_model(seed=11)
