@@ -4,6 +4,7 @@ Subcommands:
 
     gen-teacher   build a seeded toy teacher model package
     calibrate     run the teacher on seeded inputs, store per-layer C matrices
+                  and the full-rank data-aware factors they give
     compress      data-aware compression of a teacher at given/uniform ranks
     fermigrad     optimize per-layer ranks under a parameter budget
     compare       evaluate allocations side by side (optionally vs uniform
@@ -19,6 +20,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 file-format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -41,7 +43,8 @@ _EPILOG = """exit codes:
   0  success
   2  usage error (bad flags, or a non-finite flag value)
   3  I/O error (missing or unwritable file)
-  4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec)
+  4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
+     a calibration package made for another teacher or without factors)
   5  numerical/domain error (rank-deficient, infeasible budget, ...)
 """
 
@@ -50,17 +53,18 @@ def _load_spec(spec_arg: str | None, seed: int | None) -> tm.ToyModelSpec:
     if spec_arg is None or spec_arg == "default":
         spec = tm.default_spec(seed=seed if seed is not None else 0)
     else:
-        raw = mio.check_fields(mio.read_json(spec_arg), spec_arg)
+        spec = tm.ToyModelSpec.from_dict(mio.check_fields(mio.read_json(spec_arg), spec_arg))
         if seed is not None:
-            raw["seed"] = seed
-        spec = tm.ToyModelSpec.from_dict(raw)
+            # A bad --seed is a usage error (ValueError, exit 2), not a format error.
+            spec = dataclasses.replace(spec, seed=seed)
     return spec
 
 
 def _load_factored(args) -> tm.ToyModel:
-    """The --model teacher with full-rank data-aware factors from --calib."""
+    """The --model teacher with the full-rank data-aware factors stored in --calib."""
     model = mio.load_model_package(args.model).to_toy_model()
-    return tm.attach_factors_from_calibration(model, mio.load_calibration_package(args.calib))
+    model.factors = mio.load_calibration_factors(args.calib, model.dense_weights)
+    return model
 
 
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int) -> fg.BudgetConstraint:
@@ -92,7 +96,9 @@ def cmd_calibrate(args) -> int:
     model = mio.load_model_package(args.model).to_toy_model()
     X = tm.gen_calibration(model.spec, args.samples, args.seed)
     mats = tm.layer_calibration_matrices(model, X)
-    mio.save_calibration_package(args.out, mats, samples=args.samples, seed=args.seed)
+    tm.attach_factors_from_calibration(model, mats)
+    mio.save_calibration_package(args.out, mats, samples=args.samples, seed=args.seed,
+                                 model=model)
     print(json.dumps({"out": args.out, "samples": args.samples, "seed": args.seed,
                       "layers": len(mats)}, sort_keys=True))
     return EXIT_OK
@@ -261,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output package directory")
     g.set_defaults(func=cmd_gen_teacher)
 
-    c = sub.add_parser("calibrate", help="store per-layer calibration matrices")
+    c = sub.add_parser("calibrate",
+                       help="store per-layer calibration matrices and full-rank factors")
     c.add_argument("--model", required=True, help="teacher package directory")
     c.add_argument("--samples", type=int, default=512)
     c.add_argument("--seed", type=int, default=0)

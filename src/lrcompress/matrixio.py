@@ -14,11 +14,14 @@ LRMX is a 24-byte little-endian header followed by the row-major payload:
 Round-tripping a float64 matrix is bit-exact. Permutation index files are
 raw little-endian u64 sequences. A model package is a directory with a
 manifest.json naming every layer, its shape and representation
-(dense | lowrank | pivga) and the files holding its factors.
+(dense | lowrank | pivga) and the files holding its factors. A calibration
+package holds each layer's C matrix and, when written by calibrate, its
+full-rank data-aware factors plus the digest of the teacher they belong to.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -302,8 +305,23 @@ def package_forward(pkg: LoadedPackage, X) -> np.ndarray:
                          np.asarray(X, dtype=np.float64))
 
 
-def save_calibration_package(out_dir, mats, samples: int, seed: int) -> None:
-    """Write per-layer calibration matrices C_l, one LRMX file each."""
+def weights_digest(weights) -> str:
+    """sha256 over each weight's shape (two u64) and little-endian float64 bytes."""
+    h = hashlib.sha256()
+    for W in weights:
+        W = np.asarray(W, dtype="<f8")
+        h.update(struct.pack("<QQ", *W.shape))
+        h.update(np.ascontiguousarray(W).tobytes())
+    return h.hexdigest()
+
+
+def save_calibration_package(out_dir, mats, samples: int, seed: int,
+                             model: ToyModel | None = None) -> None:
+    """Write per-layer calibration matrices C_l, one LRMX file each.
+
+    With ``model``, its full-rank factors A_l, B_l are stored too, together
+    with the digest of its dense weights that load_calibration_factors checks.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -314,21 +332,73 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int) -> None:
         entries.append({"name": name, "file": fname, "dim": int(C.shape[0])})
     manifest = {"format": CALIB_FORMAT, "version": 1, "samples": samples,
                 "seed": seed, "layers": entries}
+    if model is not None:
+        for entry, f in zip(entries, model.factors):
+            files = {key: f"{entry['name']}.{key}.lrmx" for key in ("A", "B")}
+            write_matrix(out / files["A"], f.A)
+            write_matrix(out / files["B"], f.B)
+            entry["factors"] = files
+        manifest["teacher_sha256"] = weights_digest(model.dense_weights)
     _write_manifest(out / "manifest.json", manifest)
+
+
+def _read_calibration_manifest(path: Path) -> dict:
+    manifest = _read_manifest(path, CALIB_FORMAT)
+    for l, entry in enumerate(manifest["layers"]):
+        check_fields(entry, f"{path}: layer {l}", name="str", file="str", dim="int")
+    return manifest
 
 
 def load_calibration_package(in_dir) -> list:
     src = Path(in_dir)
-    path = src / "manifest.json"
-    manifest = _read_manifest(path, CALIB_FORMAT)
     mats = []
-    for l, entry in enumerate(manifest["layers"]):
-        check_fields(entry, f"{path}: layer {l}", name="str", file="str", dim="int")
+    for entry in _read_calibration_manifest(src / "manifest.json")["layers"]:
         C = read_matrix(src / entry["file"])
         if C.shape != (entry["dim"], entry["dim"]):
             raise PackageFormatError(f"{entry['name']}: calibration matrix shape mismatch")
         mats.append(C)
     return mats
+
+
+def load_calibration_factors(in_dir, weights) -> list:
+    """The full-rank data-aware factors calibrate stored for the teacher ``weights``.
+
+    Raises PackageFormatError if the package holds no factors, was made for
+    other weights (digest mismatch), or holds a factor that is not m x k
+    (A) or k x n (B) with k = min(m, n); a missing factor file is an OSError.
+    """
+    src = Path(in_dir)
+    path = src / "manifest.json"
+    manifest = _read_calibration_manifest(path)
+    if "teacher_sha256" not in manifest:
+        raise PackageFormatError(
+            f"{path}: no stored factors (package written without a teacher); re-run calibrate"
+        )
+    check_fields(manifest, path, teacher_sha256="str")
+    if manifest["teacher_sha256"] != weights_digest(weights):
+        raise PackageFormatError(
+            f"{path}: calibrated for another teacher (weights digest differs); "
+            "re-run calibrate"
+        )
+    if len(manifest["layers"]) != len(weights):
+        raise PackageFormatError(
+            f"{path}: {len(manifest['layers'])} layers for {len(weights)} teacher layers"
+        )
+    factors = []
+    for l, (entry, W) in enumerate(zip(manifest["layers"], weights)):
+        where = f"{path}: layer {l}"
+        files = check_fields(check_fields(entry, where, factors="object")["factors"],
+                             f"{where} factors", A="str", B="str")
+        A, B = read_matrix(src / files["A"]), read_matrix(src / files["B"])
+        m, n = W.shape
+        k = min(m, n)
+        if A.shape != (m, k) or B.shape != (k, n):
+            raise PackageFormatError(
+                f"{where}: A is {A.shape} and B is {B.shape}, teacher layer {(m, n)} "
+                f"needs {(m, k)} and {(k, n)}"
+            )
+        factors.append(LowRankFactors(A=A, B=B))
+    return factors
 
 
 def format_float(x: float) -> str:

@@ -2,13 +2,17 @@
 
 import json
 import shutil
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lrcompress import linalg
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
-from lrcompress.cli import EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from lrcompress.cli import (EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                            _load_factored, main)
 from lrcompress.svdcompress import plain_svd_compress
 
 
@@ -37,6 +41,19 @@ def pipeline(tmp_path_factory):
     assert run(["calibrate", "--model", str(teacher), "--samples", "256",
                 "--seed", "21", "--out", str(calib)]) == EXIT_OK
     return root, teacher, calib
+
+
+def _consumer_argvs(teacher, calib, out):
+    """One fermigrad, compress and compare run on the given teacher and calibration."""
+    common = ["--model", str(teacher), "--calib", str(calib)]
+    return {
+        "fermigrad": ["fermigrad", *common, "--target-ratio", "0.6", "--r-min", "2",
+                      "--n-scale", "1e7", "--iters", "20", "--out-ranks", str(out / "r.json")],
+        "compress": ["compress", *common, "--uniform", "0.5", "--pivga",
+                     "--out", str(out / "student")],
+        "compare": ["compare", *common, "--uniform", "--brute-force", "--grid-step", "4",
+                    "--target-ratio", "0.6", "--r-min", "2", "--out", str(out / "cmp.json")],
+    }
 
 
 class TestGenTeacher:
@@ -311,6 +328,14 @@ class TestMalformedInput:
         assert code == EXIT_FORMAT
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
 
+    def test_negative_seed_flag_with_spec_is_usage_error(self, pipeline, tmp_path, capsys):
+        root, _, _ = pipeline
+        code = run(["gen-teacher", "--spec", str(root / "spec.json"), "--seed", "-1",
+                    "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and "seed" in err["message"]
+
     def test_spec_list_with_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([[16, 16], [16, 16]]))
@@ -352,3 +377,79 @@ class TestNonFiniteFlags:
         assert code == EXIT_USAGE
         assert _one_error_line(capsys)["error"] == "ValueError"
         assert not out.exists()
+
+
+class TestFactorStore:
+    """calibrate stores the full-rank factors; the other commands only read them."""
+
+    def test_loaded_factors_equal_refactorized(self, pipeline):
+        _, teacher, calib = pipeline
+        loaded = _load_factored(SimpleNamespace(model=str(teacher), calib=str(calib)))
+        model = mio.load_model_package(teacher).to_toy_model()
+        ref = tm.attach_factors_from_calibration(model, mio.load_calibration_package(calib))
+        assert len(loaded.factors) == len(ref.factors) == 2
+        for f, g in zip(loaded.factors, ref.factors):
+            assert np.array_equal(f.A, g.A) and np.array_equal(f.B, g.B)
+
+    def test_only_calibrate_factorizes(self, pipeline, tmp_path, monkeypatch):
+        _, teacher, _ = pipeline
+        calls = {"cholesky_whiten": 0, "svd_descending": 0}
+        for name in calls:
+            original = getattr(linalg, name)
+
+            def counted(*a, _name=name, _original=original, **k):
+                calls[_name] += 1
+                return _original(*a, **k)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("lrcompress") \
+                        and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        calib = tmp_path / "calib"
+        assert run(["calibrate", "--model", str(teacher), "--samples", "64",
+                    "--seed", "2", "--out", str(calib)]) == EXIT_OK
+        assert calls == {"cholesky_whiten": 2, "svd_descending": 2}
+        for cmd, argv in _consumer_argvs(teacher, calib, tmp_path).items():
+            assert run(argv) == EXIT_OK, cmd
+        assert calls == {"cholesky_whiten": 2, "svd_descending": 2}
+
+    @pytest.mark.parametrize("cmd", ["fermigrad", "compress", "compare"])
+    def test_regenerated_teacher_is_format_error(self, pipeline, tmp_path, capsys, cmd):
+        root, teacher, calib = pipeline
+        shutil.copytree(teacher, tmp_path / "teacher")
+        assert run(["gen-teacher", "--spec", str(root / "spec.json"), "--seed", "6",
+                    "--out", str(tmp_path / "teacher")]) == EXIT_OK
+        capsys.readouterr()
+        code = run(_consumer_argvs(tmp_path / "teacher", calib, tmp_path)[cmd])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError" and "another teacher" in err["message"]
+
+    def test_package_without_factors_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bare = tmp_path / "calib"
+        mio.save_calibration_package(bare, mio.load_calibration_package(calib),
+                                     samples=256, seed=21)
+        code = run(_consumer_argvs(teacher, bare, tmp_path)["compress"])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError" and "re-run calibrate" in err["message"]
+
+    def test_wrong_factor_shape_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        A = mio.read_matrix(bad / "layer_00.A.lrmx")
+        mio.write_matrix(bad / "layer_00.A.lrmx", A[:, :-1])
+        code = run(_consumer_argvs(teacher, bad, tmp_path)["fermigrad"])
+        assert code == EXIT_FORMAT
+        assert "A is (16, 15)" in _one_error_line(capsys)["message"]
+
+    def test_missing_factor_file_is_io_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        (bad / "layer_01.B.lrmx").unlink()
+        code = run(_consumer_argvs(teacher, bad, tmp_path)["compare"])
+        assert code == EXIT_IO
+        assert _one_error_line(capsys)["error"] == "FileNotFoundError"

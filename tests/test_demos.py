@@ -1,4 +1,4 @@
-"""The Python demos run to completion against the package in src/."""
+"""The demos run to completion against the package in src/."""
 
 import os
 import subprocess
@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 04_cli_pipeline.sh needs the installed lrcompress entry point, so it is not run here.
 DEMOS = sorted((ROOT / "demos").glob("0[1-3]_*.py"))
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_three_python_demos_found():
@@ -18,9 +24,21 @@ def test_three_python_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(),
                           capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_pipeline_demo_exits_zero(tmp_path):
+    """04_cli_pipeline.sh, with an `lrcompress` shim on PATH running the CLI from src/."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "lrcompress"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m lrcompress.cli "$@"\n')
+    shim.chmod(0o755)
+    env = _env()
+    env["PATH"] = os.pathsep.join((str(bin_dir), env.get("PATH", "")))
+    env["TMPDIR"] = str(tmp_path)  # the demo's mktemp -d directory goes under tmp_path
+    proc = subprocess.run(["sh", str(ROOT / "demos" / "04_cli_pipeline.sh")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -173,6 +173,31 @@ class TestCalibrationPackage:
         for a, b in zip(mats, back):
             assert np.array_equal(a, b)
 
+    def test_factors_round_trip_and_teacher_digest(self, tmp_path):
+        spec = tm.ToyModelSpec(layer_shapes=[(6, 8), (5, 6)], planted_ranks=[2, 3])
+        model = tm.build_teacher(spec)
+        mats = tm.layer_calibration_matrices(model, tm.gen_calibration(spec, 40, seed=1))
+        tm.attach_factors_from_calibration(model, mats)
+        mio.save_calibration_package(tmp_path / "calib", mats, samples=40, seed=1, model=model)
+        back = mio.load_calibration_factors(tmp_path / "calib", model.dense_weights)
+        assert [f.A.shape + f.B.shape for f in back] == [(6, 6, 6, 8), (5, 5, 5, 6)]
+        for f, g in zip(back, model.factors):
+            assert np.array_equal(f.A, g.A) and np.array_equal(f.B, g.B)
+        for a, b in zip(mats, mio.load_calibration_package(tmp_path / "calib")):
+            assert np.array_equal(a, b)
+        other = [model.dense_weights[0], model.dense_weights[1].reshape(6, 5)]
+        with pytest.raises(PackageFormatError, match="another teacher"):
+            mio.load_calibration_factors(tmp_path / "calib", other)
+
+    def test_digest_covers_shape_and_every_bit(self):
+        W = np.arange(12.0).reshape(3, 4)
+        base = mio.weights_digest([W])
+        assert base == mio.weights_digest([W.copy(order="F")])
+        assert base != mio.weights_digest([W.reshape(4, 3)])
+        bumped = W.copy()
+        bumped[2, 3] = np.nextafter(bumped[2, 3], np.inf)
+        assert base != mio.weights_digest([bumped])
+
 
 class TestTrajectoryCsv:
     def test_round_trip_and_header(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Property test: a damaged model package fails with PackageFormatError only.
+"""Property test: a damaged package fails with PackageFormatError only.
 
-Each example takes a small saved package (dense + lowrank + pivga layers)
+Each example takes a small saved package, either a model package (dense +
+lowrank + pivga layers) or a calibration package holding full-rank factors,
 and applies one damage: drop or retype a manifest key, truncate a file, or
 overwrite one of its bytes. Loading may then fail, but only with
 PackageFormatError (or OSError for a file that is gone); a package that
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from lrcompress import PackageFormatError, pivga_factorize, plain_svd_compress
+from lrcompress import fermigrad
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
 
@@ -37,12 +39,25 @@ def package(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def calib_package(tmp_path_factory):
+    """A calibration package with factors, and the teacher it was made for."""
+    spec = tm.ToyModelSpec(layer_shapes=[(6, 8), (5, 6)], planted_ranks=[2, 3])
+    model = tm.build_teacher(spec)
+    mats = tm.layer_calibration_matrices(model, tm.gen_calibration(spec, 40, seed=2))
+    tm.attach_factors_from_calibration(model, mats)
+    out = tmp_path_factory.mktemp("fuzz") / "calib"
+    mio.save_calibration_package(out, mats, samples=40, seed=2, model=model)
+    return out, model
+
+
 def _key_paths(manifest) -> list:
     """Paths (tuples of keys/indices) to every key of the manifest worth damaging."""
     paths = [(k,) for k in manifest]
     for l, entry in enumerate(manifest["layers"]):
         paths += [("layers", l, k) for k in entry]
-        paths += [("layers", l, "files", k) for k in entry["files"]]
+        paths += [("layers", l, k, sub) for k, files in entry.items()
+                  if isinstance(files, dict) for sub in files]
     return paths
 
 
@@ -105,5 +120,31 @@ def test_damaged_package_fails_cleanly(package):
             except (PackageFormatError, OSError):
                 return
             assert mio.package_forward(loaded, X).shape == (6, 5)
+
+    check()
+
+
+def test_damaged_calibration_factors_fail_cleanly(calib_package):
+    package, model = calib_package
+    X = np.random.default_rng(3).standard_normal((8, 5))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(damages(package))
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            pkg_dir = Path(tmp) / "calib"
+            shutil.copytree(package, pkg_dir)
+            damaged = _apply(pkg_dir, damage)
+            if damaged is not None:
+                try:
+                    mio.read_matrix(damaged)
+                except PackageFormatError:
+                    pass
+            try:
+                factors = mio.load_calibration_factors(pkg_dir, model.dense_weights)
+            except (PackageFormatError, OSError):
+                return
+            assert [f.shape for f in factors] == [(6, 8), (5, 6)]
+            assert fermigrad.run(factors, model.nonlinearity, X).shape == (5, 5)
 
     check()
