@@ -63,7 +63,7 @@ def _load_spec(spec_arg: str | None, seed: int | None) -> tm.ToyModelSpec:
 def _load_factored(args) -> tm.ToyModel:
     """The --model teacher with the full-rank data-aware factors stored in --calib."""
     model = mio.load_model_package(args.model).to_toy_model()
-    model.factors = mio.load_calibration_factors(args.calib, model.dense_weights)
+    model.factors = mio.load_calibration_factors(args.calib, model)
     return model
 
 
@@ -182,19 +182,21 @@ def cmd_fermigrad(args) -> int:
         "final_mu": [float(v) for v in trajectory[-1].mu],
         "final_rho": trajectory[-1].rho,
         "final_n_param_soft": trajectory[-1].n_param,
+        "final_violation": fg.budget_violation(trajectory[-1].n_param, budget),
+        "stop_reason": alloc.stop_reason,
         "final_ranks": [int(r) for r in alloc.ranks],
         "achieved_params": int(alloc.achieved_params),
         "target_params": int(alloc.target_params),
+        "budget_gap_params": int(alloc.target_params - alloc.achieved_params),
         "kl_eval": evaluation.kl,
         "per_layer_residual": [float(x) for x in evaluation.per_layer_residual],
         "wall_time_s": time.perf_counter() - t0,
     }
     if args.report:
         mio.write_report(args.report, report)
-    print(json.dumps({"final_ranks": report["final_ranks"],
-                      "achieved_params": report["achieved_params"],
-                      "target_params": report["target_params"],
-                      "kl_eval": report["kl_eval"]}, sort_keys=True))
+    print(json.dumps({key: report[key] for key in (
+        "final_ranks", "achieved_params", "target_params", "budget_gap_params", "kl_eval",
+        "stop_reason", "final_violation")}, sort_keys=True))
     return EXIT_OK
 
 

@@ -144,11 +144,16 @@ class OptimizerConfig:
 
 @dataclass
 class RankAllocation:
-    """Integer per-layer ranks with the achieved discrete parameter count."""
+    """Integer per-layer ranks with the achieved discrete parameter count.
+
+    ``stop_reason`` is set by optimize_ranks only: "converged" when its stop
+    rule fired, "iteration_cap" when it ran out of iterations.
+    """
 
     ranks: np.ndarray
     achieved_params: int
     target_params: int
+    stop_reason: str | None = None
 
 
 @dataclass
@@ -185,6 +190,11 @@ def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) ->
 def param_count_soft(mu: MuVector, budget: BudgetConstraint) -> float:
     """Continuous parameter count: mu.a + N_inc, minus sum(mu^2) in parabolic mode."""
     return float(budget.count(mu.mu))
+
+
+def budget_violation(n_param: float, budget: BudgetConstraint) -> float:
+    """Relative budget violation |N_param - N_target| / N_target."""
+    return abs(n_param - budget.n_target) / budget.n_target
 
 
 def count_params(ranks, budget: BudgetConstraint) -> int:
@@ -236,9 +246,19 @@ def kl_divergence(teacher_logits, student_logits) -> float:
     s = as_matrix(student_logits, "student_logits")
     if t.shape != s.shape:
         raise DimensionMismatch(f"logit shapes differ: {t.shape} vs {s.shape}")
+    return _kl_against(_teacher_terms(t), s)
+
+
+def _teacher_terms(t: np.ndarray):
+    """(p, log p) of C-ordered teacher logits (samples x k), reusable across students."""
     p = softmax(t, axis=1)
+    return p, np.where(p > 0, np.log(np.maximum(p, Q_FLOOR)), 0.0)
+
+
+def _kl_against(terms, s: np.ndarray) -> float:
+    """Mean KL of C-ordered student logits ``s`` against ``_teacher_terms`` output."""
+    p, log_p = terms
     log_q = np.log(np.maximum(softmax(s, axis=1), Q_FLOOR))
-    log_p = np.where(p > 0, np.log(np.maximum(p, Q_FLOOR)), 0.0)
     per_sample = np.sum(p * (log_p - log_q), axis=1)
     # mathematically >= 0; the max guards round-off at q == p
     return max(0.0, float(np.mean(per_sample)))
@@ -369,9 +389,9 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     Each iteration: evaluate KL + penalty gradient on the current batch,
     take one projected gradient step (clamp to the box), advance rho. Stops
     at max_iters or once the step is below mu_tol and the relative budget
-    violation is below constraint_tol. Trajectory rows hold the state after
-    each update together with the batch KL observed at the point the
-    gradient was taken.
+    violation is below constraint_tol; the allocation's ``stop_reason`` says
+    which. Trajectory rows hold the state after each update together with
+    the batch KL observed at the point the gradient was taken.
     """
     fermi_cfg = fermi_cfg or FermiConfig()
     sched = sched or RhoSchedule()
@@ -387,6 +407,7 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     teacher_log_p: dict[int, np.ndarray] = {}
     trajectory: list[TrajectoryPoint] = []
 
+    stop_reason = "iteration_cap"
     for t in range(opt_cfg.max_iters):
         start = (t * bs) % n_samples
         cols = (start + np.arange(bs)) % n_samples
@@ -404,11 +425,14 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
         n_param = param_count_soft(mu, budget)
         trajectory.append(TrajectoryPoint(iteration=t, mu=new_mu, rho=rho,
                                           kl=kl, n_param=n_param))
-        violation = abs(n_param - budget.n_target) / budget.n_target
+        violation = budget_violation(n_param, budget)
         if step_inf < opt_cfg.mu_tol and violation < opt_cfg.constraint_tol:
+            stop_reason = "converged"
             break
 
-    return trajectory, round_and_repair(mu, budget)
+    alloc = round_and_repair(mu, budget)
+    alloc.stop_reason = stop_reason
+    return trajectory, alloc
 
 
 def round_and_repair(mu: MuVector, budget: BudgetConstraint) -> RankAllocation:

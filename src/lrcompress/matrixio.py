@@ -305,10 +305,15 @@ def package_forward(pkg: LoadedPackage, X) -> np.ndarray:
                          np.asarray(X, dtype=np.float64))
 
 
-def weights_digest(weights) -> str:
-    """sha256 over each weight's shape (two u64) and little-endian float64 bytes."""
+def teacher_digest(model: ToyModel) -> str:
+    """sha256 over the teacher's canonical spec JSON, n_inc, and each dense weight's
+    shape (two u64) and little-endian float64 bytes."""
     h = hashlib.sha256()
-    for W in weights:
+    spec = json.dumps(model.spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    h.update(struct.pack("<Q", len(spec)))
+    h.update(spec)
+    h.update(struct.pack("<q", model.n_inc))
+    for W in model.dense_weights:
         W = np.asarray(W, dtype="<f8")
         h.update(struct.pack("<QQ", *W.shape))
         h.update(np.ascontiguousarray(W).tobytes())
@@ -320,7 +325,8 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int,
     """Write per-layer calibration matrices C_l, one LRMX file each.
 
     With ``model``, its full-rank factors A_l, B_l are stored too, together
-    with the digest of its dense weights that load_calibration_factors checks.
+    with the teacher digest (spec, n_inc, dense weights) that
+    load_calibration_factors checks.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +344,7 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int,
             write_matrix(out / files["A"], f.A)
             write_matrix(out / files["B"], f.B)
             entry["factors"] = files
-        manifest["teacher_sha256"] = weights_digest(model.dense_weights)
+        manifest["teacher_sha256"] = teacher_digest(model)
     _write_manifest(out / "manifest.json", manifest)
 
 
@@ -360,12 +366,13 @@ def load_calibration_package(in_dir) -> list:
     return mats
 
 
-def load_calibration_factors(in_dir, weights) -> list:
-    """The full-rank data-aware factors calibrate stored for the teacher ``weights``.
+def load_calibration_factors(in_dir, model: ToyModel) -> list:
+    """The full-rank data-aware factors calibrate stored for the teacher ``model``.
 
     Raises PackageFormatError if the package holds no factors, was made for
-    other weights (digest mismatch), or holds a factor that is not m x k
-    (A) or k x n (B) with k = min(m, n); a missing factor file is an OSError.
+    another teacher (its spec, n_inc or dense weights differ: digest
+    mismatch), or holds a factor that is not m x k (A) or k x n (B) with
+    k = min(m, n); a missing factor file is an OSError.
     """
     src = Path(in_dir)
     path = src / "manifest.json"
@@ -375,11 +382,12 @@ def load_calibration_factors(in_dir, weights) -> list:
             f"{path}: no stored factors (package written without a teacher); re-run calibrate"
         )
     check_fields(manifest, path, teacher_sha256="str")
-    if manifest["teacher_sha256"] != weights_digest(weights):
+    if manifest["teacher_sha256"] != teacher_digest(model):
         raise PackageFormatError(
-            f"{path}: calibrated for another teacher (weights digest differs); "
+            f"{path}: calibrated for another teacher (spec, n_inc or weights differ); "
             "re-run calibrate"
         )
+    weights = model.dense_weights
     if len(manifest["layers"]) != len(weights):
         raise PackageFormatError(
             f"{path}: {len(manifest['layers'])} layers for {len(weights)} teacher layers"

@@ -14,7 +14,6 @@ not measurements of any larger system.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,8 +353,17 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     at 10^6 tuples. Ties in KL go to the lexicographically smallest tuple.
     The combinatorial blow-up of this search is exactly what the gradient
     relaxation avoids.
+
+    The tuples are walked depth-first in ``itertools.product`` order, so
+    each prefix's activations are computed once and shared by its subtree.
+    A layer's count is nondecreasing in its rank (a_l r, or r (a_l - r)
+    with r <= a_l / 2), so once a prefix completed with the lowest grid
+    ranks exceeds the budget, every later rank at that depth does too and
+    the walk backtracks.
     """
     _require_factors(model)
+    if grid_step < 1 or r_min < 1:
+        raise ValueError(f"grid_step and r_min must be >= 1, got {grid_step} and {r_min}")
     data = as_matrix(data, "data")
     caps = model.spec.caps()
     grids = [np.arange(r_min, int(c) + 1, grid_step) for c in caps]
@@ -364,20 +372,35 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
         total *= len(g)
         if total > MAX_GRID_POINTS:
             raise SearchSpaceTooLarge(f"grid has more than {MAX_GRID_POINTS} tuples")
-    teacher = forward(model, data, mode="dense").T
+    if total == 0:
+        raise InfeasibleBudget(f"no grid point satisfies the budget {budget.n_target}")
+    act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
+    terms = fermigrad._teacher_terms(as_matrix(forward(model, data, mode="dense").T))
+    floor = np.array([g[0] for g in grids], dtype=np.int64)
+    ranks = floor.copy()
+    last = len(grids) - 1
     best = None
     best_kl = np.inf
-    for combo in itertools.product(*grids):
-        ranks = np.array(combo, dtype=np.int64)
-        achieved = count_params(ranks, budget)
-        if achieved > budget.n_target:
-            continue
-        student = forward(model, data, mode="hard", ranks=ranks).T
-        kl = fermigrad.kl_divergence(teacher, student)
-        if kl < best_kl:
-            best_kl = kl
-            best = RankAllocation(ranks=ranks, achieved_params=achieved,
-                                  target_params=budget.n_target)
+
+    def walk(l: int, h: np.ndarray) -> None:
+        nonlocal best, best_kl
+        for r in grids[l]:
+            ranks[l] = r
+            ranks[l + 1:] = floor[l + 1:]
+            achieved = count_params(ranks, budget)
+            if achieved > budget.n_target:
+                break
+            out = model.factors[l].truncated(int(r)) @ h
+            if l < last:
+                walk(l + 1, act(out))
+                continue
+            kl = fermigrad._kl_against(terms, as_matrix(out.T))
+            if kl < best_kl:
+                best_kl = kl
+                best = RankAllocation(ranks=ranks.copy(), achieved_params=achieved,
+                                      target_params=budget.n_target)
+
+    walk(0, data)
     if best is None:
         raise InfeasibleBudget(
             f"no grid point satisfies the budget {budget.n_target}"

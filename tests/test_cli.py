@@ -159,6 +159,30 @@ class TestFermigrad:
             rep["trajectory_csv"] = None
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("iters, reason", [(5, "iteration_cap"), (2000, "converged")])
+    def test_report_says_why_it_stopped(self, pipeline, tmp_path, capsys, iters, reason):
+        _, teacher, calib = pipeline
+        traj, report = tmp_path / "traj.csv", tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--n-scale", "1e7",
+                    "--step", "0.5", "--iters", str(iters), "--seed", "11",
+                    "--out-ranks", str(tmp_path / "r.json"), "--trajectory", str(traj),
+                    "--report", str(report)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        rep = json.loads(report.read_text())
+        assert rep["stop_reason"] == printed["stop_reason"] == reason
+        if reason == "iteration_cap":
+            assert rep["iterations_run"] == iters
+        else:
+            assert rep["iterations_run"] < iters
+        last = mio.read_trajectory_csv(traj)[-1]
+        target = rep["target_params"]
+        assert rep["final_violation"] == printed["final_violation"] \
+            == abs(last["n_param"] - target) / target
+        assert rep["budget_gap_params"] == printed["budget_gap_params"] \
+            == target - rep["achieved_params"] >= 0
+
 
 class TestCompare:
     def test_table_and_report(self, pipeline, tmp_path, capsys):
@@ -345,6 +369,17 @@ class TestMalformedInput:
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
 
 
+    @pytest.mark.parametrize("flags", [["--grid-step", "0"], ["--grid-step", "-1"],
+                                       ["--r-min", "0"]])
+    def test_brute_force_grid_below_one_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                        flags):
+        _, teacher, calib = pipeline
+        code = run(["compare", "--model", str(teacher), "--calib", str(calib), "--brute-force",
+                    "--target-ratio", "0.6", *flags])
+        assert code == EXIT_USAGE
+        assert "must be >= 1" in _one_error_line(capsys)["message"]
+
+
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("flags, topic", [
         (["-T", "nan"], "temperature"),
@@ -424,6 +459,24 @@ class TestFactorStore:
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError" and "another teacher" in err["message"]
+
+    @pytest.mark.parametrize("cmd", ["fermigrad", "compress", "compare"])
+    def test_teacher_with_other_nonlinearity_is_format_error(self, pipeline, tmp_path,
+                                                             capsys, cmd):
+        # same seed and shapes, so the dense weights are identical; only the spec differs
+        root, teacher, calib = pipeline
+        shutil.copytree(teacher, tmp_path / "teacher")
+        spec = json.loads((root / "spec.json").read_text())
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, "nonlinearity": "identity"}))
+        assert run(["gen-teacher", "--spec", str(tmp_path / "spec.json"),
+                    "--out", str(tmp_path / "teacher")]) == EXIT_OK
+        for name in ("layer_00.W.lrmx", "layer_01.W.lrmx"):
+            assert (tmp_path / "teacher" / name).read_bytes() == (teacher / name).read_bytes()
+        capsys.readouterr()
+        code = run(_consumer_argvs(tmp_path / "teacher", calib, tmp_path)[cmd])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError" and "re-run calibrate" in err["message"]
 
     def test_package_without_factors_is_format_error(self, pipeline, tmp_path, capsys):
         _, teacher, calib = pipeline

@@ -179,7 +179,7 @@ class TestCalibrationPackage:
         mats = tm.layer_calibration_matrices(model, tm.gen_calibration(spec, 40, seed=1))
         tm.attach_factors_from_calibration(model, mats)
         mio.save_calibration_package(tmp_path / "calib", mats, samples=40, seed=1, model=model)
-        back = mio.load_calibration_factors(tmp_path / "calib", model.dense_weights)
+        back = mio.load_calibration_factors(tmp_path / "calib", model)
         assert [f.A.shape + f.B.shape for f in back] == [(6, 6, 6, 8), (5, 5, 5, 6)]
         for f, g in zip(back, model.factors):
             assert np.array_equal(f.A, g.A) and np.array_equal(f.B, g.B)
@@ -187,16 +187,33 @@ class TestCalibrationPackage:
             assert np.array_equal(a, b)
         other = [model.dense_weights[0], model.dense_weights[1].reshape(6, 5)]
         with pytest.raises(PackageFormatError, match="another teacher"):
-            mio.load_calibration_factors(tmp_path / "calib", other)
+            mio.load_calibration_factors(tmp_path / "calib", tm.ToyModel(spec, other))
 
     def test_digest_covers_shape_and_every_bit(self):
+        spec = tm.ToyModelSpec(layer_shapes=[(3, 4)], planted_ranks=[2])
+
+        def weights_digest(weights):
+            return mio.teacher_digest(tm.ToyModel(spec, weights))
+
         W = np.arange(12.0).reshape(3, 4)
-        base = mio.weights_digest([W])
-        assert base == mio.weights_digest([W.copy(order="F")])
-        assert base != mio.weights_digest([W.reshape(4, 3)])
+        base = weights_digest([W])
+        assert base == weights_digest([W.copy(order="F")])
+        assert base != weights_digest([W.reshape(4, 3)])
         bumped = W.copy()
         bumped[2, 3] = np.nextafter(bumped[2, 3], np.inf)
-        assert base != mio.weights_digest([bumped])
+        assert base != weights_digest([bumped])
+
+
+    def test_digest_covers_spec_and_n_inc(self):
+        spec = tm.ToyModelSpec(layer_shapes=[(3, 4)], planted_ranks=[2])
+        W = [np.arange(12.0).reshape(3, 4)]
+        base = mio.teacher_digest(tm.ToyModel(spec, W))
+        assert base == mio.teacher_digest(tm.ToyModel(tm.ToyModelSpec(**spec.to_dict()), W))
+        for changed in ({"nonlinearity": "identity"}, {"seed": 1}, {"planted_ranks": [3]},
+                        {"spectrum_decay": 2.5}, {"noise_floor": 2e-3}, {"signal_gain": 4.0}):
+            other = tm.ToyModelSpec(**{**spec.to_dict(), **changed})
+            assert mio.teacher_digest(tm.ToyModel(other, W)) != base, changed
+        assert mio.teacher_digest(tm.ToyModel(spec, W, n_inc=1)) != base
 
 
 class TestTrajectoryCsv:

@@ -141,7 +141,7 @@ def test_damaged_calibration_factors_fail_cleanly(calib_package):
                 except PackageFormatError:
                     pass
             try:
-                factors = mio.load_calibration_factors(pkg_dir, model.dense_weights)
+                factors = mio.load_calibration_factors(pkg_dir, model)
             except (PackageFormatError, OSError):
                 return
             assert [f.shape for f in factors] == [(6, 8), (5, 6)]

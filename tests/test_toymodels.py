@@ -1,5 +1,7 @@
 """Planted-rank teachers, calibration generation, mode agreement, oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from lrcompress import fermigrad as fg
 from lrcompress import toymodels as tm
 from lrcompress.errors import DimensionMismatch
 from lrcompress.fermigrad import BudgetConstraint, FermiConfig
+from lrcompress.svdcompress import LowRankFactors
 from lrcompress.toymodels import ToyModelSpec, attach_data_aware_factors, forward
 
 
@@ -215,6 +218,178 @@ class TestEvaluateAllocation:
                 assert kl <= kl_prev * 1.05 + 1e-9
                 kl_prev = kl
             assert kl_prev < kl_start
+
+
+def reference_brute_force(model, data, budget, grid_step=1, r_min=1):
+    """The flat itertools.product search, kept as the test oracle of the pruned walk.
+
+    Returns (ranks, achieved, kl) of the first KL-minimal feasible tuple, or
+    None when no tuple fits the budget.
+    """
+    grids = [np.arange(r_min, int(c) + 1, grid_step) for c in model.spec.caps()]
+    teacher = forward(model, data, mode="dense").T
+    best = None
+    for combo in itertools.product(*grids):
+        ranks = np.array(combo, dtype=np.int64)
+        achieved = fg.count_params(ranks, budget)
+        if achieved > budget.n_target:
+            continue
+        kl = kl_divergence(teacher, forward(model, data, mode="hard", ranks=ranks).T)
+        if best is None or kl < best[2]:
+            best = (ranks, achieved, kl)
+    return best
+
+
+def feasible_tuples(model, budget, grid_step, r_min):
+    """Every grid tuple within the budget, in itertools.product order."""
+    grids = [range(r_min, int(c) + 1, grid_step) for c in model.spec.caps()]
+    return [combo for combo in itertools.product(*grids)
+            if fg.count_params(combo, budget) <= budget.n_target]
+
+
+def feasible_prefixes(model, budget, grid_step, r_min):
+    """Per depth, the grid prefixes that still fit the budget when completed
+    with each remaining layer's lowest grid rank."""
+    grids = [range(r_min, int(c) + 1, grid_step) for c in model.spec.caps()]
+    floor = [g[0] for g in grids]
+    levels = [[()]]
+    for l, g in enumerate(grids):
+        levels.append([(*p, r) for p in levels[-1] for r in g
+                       if fg.count_params([*p, r, *floor[l + 1:]], budget) <= budget.n_target])
+    return levels[1:]
+
+
+def _factored_teacher(shapes, planted, seed):
+    spec = ToyModelSpec(layer_shapes=shapes, planted_ranks=planted, seed=seed)
+    model = build_teacher(spec)
+    attach_data_aware_factors(model, gen_calibration(spec, 128, seed=seed + 1))
+    return model, gen_calibration(spec, 64, seed=seed + 2)
+
+
+EQUIVALENCE_TEACHERS = {
+    "3-layer": ([(12, 16), (10, 12), (16, 10)], [3, 6, 2], 31),
+    "4-layer": ([(8, 10), (10, 8), (8, 10), (9, 8)], [2, 5, 3, 6], 32),
+    "1-layer": ([(16, 16)], [6], 33),
+}
+
+
+def _budget_between(model, mode, frac, r_min):
+    """Target a fraction of the way from the all-r_min count to the full-rank count."""
+    shapes = model.spec.layer_shapes
+    caps = model.spec.caps()
+    probe = fg.BudgetConstraint.from_shapes(shapes, n_target=10**12, mode=mode)
+    lo = fg.count_params(np.minimum(r_min, caps), probe)
+    hi = fg.count_params(caps, probe)
+    return fg.BudgetConstraint.from_shapes(shapes, n_target=max(1, int(lo + frac * (hi - lo))),
+                                           mode=mode)
+
+
+class TestBruteForceMatchesReference:
+    """The pruned prefix walk returns what the flat product loop returns."""
+
+    @pytest.fixture(scope="class", params=sorted(EQUIVALENCE_TEACHERS))
+    def teacher(self, request):
+        return _factored_teacher(*EQUIVALENCE_TEACHERS[request.param])
+
+    @pytest.mark.parametrize("mode", ["linear", "parabolic"])
+    @pytest.mark.parametrize("grid_step", [1, 3, 8])
+    @pytest.mark.parametrize("r_min", [1, 2, 8])
+    def test_same_ranks_count_and_kl(self, teacher, monkeypatch, mode, grid_step, r_min):
+        model, X = teacher
+        seen = []
+        kl_against = fg._kl_against
+        monkeypatch.setattr(fg, "_kl_against", lambda *a: seen.append(kl_against(*a)) or seen[-1])
+        for frac in (0.0, 0.3, 0.65):
+            budget = _budget_between(model, mode, frac, r_min)
+            ref = reference_brute_force(model, X, budget, grid_step, r_min)
+            if ref is None:
+                with pytest.raises(InfeasibleBudget):
+                    brute_force_rank_search(model, X, budget, grid_step, r_min)
+                continue
+            seen.clear()
+            got = brute_force_rank_search(model, X, budget, grid_step, r_min)
+            assert np.array_equal(got.ranks, ref[0]), (frac, got.ranks, ref[0])
+            assert got.achieved_params == ref[1]
+            assert got.target_params == budget.n_target
+            assert min(seen) == ref[2]          # bit-equal: same per-layer arithmetic
+
+    def test_only_the_floor_fits(self, teacher):
+        model, X = teacher
+        for mode in ("linear", "parabolic"):
+            floor = np.minimum(2, model.spec.caps())
+            budget = fg.BudgetConstraint.from_shapes(
+                model.spec.layer_shapes, mode=mode,
+                n_target=fg.count_params(floor, _budget_between(model, mode, 0.0, 2)))
+            assert feasible_tuples(model, budget, 1, 2) == [tuple(floor)]
+            got = brute_force_rank_search(model, X, budget, grid_step=1, r_min=2)
+            assert got.ranks.tolist() == floor.tolist()
+            assert got.achieved_params == budget.n_target
+
+
+class TestBruteForceWalk:
+    """Tie rule, work counts and the empty grid of the pruned walk."""
+
+    @pytest.fixture(scope="class")
+    def teacher(self):
+        return _factored_teacher(*EQUIVALENCE_TEACHERS["4-layer"])
+
+    @pytest.mark.parametrize("winner", [0, 1, 7, -1])
+    def test_ties_go_to_the_first_tuple_in_product_order(self, teacher, monkeypatch, winner):
+        # every KL before the winner's call is 1 and every KL from it on is 0,
+        # so with the strict < rule the winner-th feasible tuple must come back
+        model, X = teacher
+        budget = _budget_between(model, "linear", 0.4, 2)
+        feasible = feasible_tuples(model, budget, 1, 2)
+        assert len(feasible) > 8
+        first_zero = winner % len(feasible)
+        calls = []
+
+        def kl_stub(terms, s):
+            calls.append(None)
+            return 0.0 if len(calls) > first_zero else 1.0
+
+        monkeypatch.setattr(fg, "_kl_against", kl_stub)
+        got = brute_force_rank_search(model, X, budget, grid_step=1, r_min=2)
+        assert tuple(got.ranks.tolist()) == feasible[first_zero]
+        assert len(calls) == len(feasible)
+
+    @pytest.mark.parametrize("mode", ["linear", "parabolic"])
+    def test_one_kl_per_feasible_tuple_and_one_teacher(self, teacher, monkeypatch, mode):
+        model, X = teacher
+        budget = _budget_between(model, mode, 0.5, 1)
+        counts = {"_teacher_terms": 0, "_kl_against": 0, "forward": 0, "truncated": 0,
+                  "count_params": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*a, **k):
+                counts[name] += 1
+                return original(*a, **k)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(fg, "_teacher_terms")
+        counted(fg, "_kl_against")
+        counted(tm, "forward")
+        counted(LowRankFactors, "truncated")
+        counted(tm, "count_params")
+        brute_force_rank_search(model, X, budget, grid_step=1, r_min=1)
+        levels = feasible_prefixes(model, budget, 1, 1)
+        assert levels[-1] == feasible_tuples(model, budget, 1, 1)
+        # one layer application per feasible prefix; each parent checks its
+        # feasible children plus at most the one infeasible rank it stops at
+        nodes = sum(map(len, levels))
+        assert counts.pop("count_params") <= nodes + 1 + sum(map(len, levels[:-1]))
+        assert counts == {"_teacher_terms": 1, "_kl_against": len(levels[-1]), "forward": 1,
+                          "truncated": nodes}
+
+    def test_rank_floor_above_a_cap_is_infeasible(self, teacher):
+        model, X = teacher
+        budget = _budget_between(model, "linear", 1.0, 1)
+        assert reference_brute_force(model, X, budget, grid_step=1, r_min=10) is None
+        with pytest.raises(InfeasibleBudget, match="no grid point"):
+            brute_force_rank_search(model, X, budget, grid_step=1, r_min=10)
 
 
 class TestBruteForce:
