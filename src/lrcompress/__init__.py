@@ -75,7 +75,6 @@ from .toymodels import (
     build_teacher,
     default_spec,
     evaluate_allocation,
-    forward,
     gen_calibration,
 )
 

@@ -41,7 +41,7 @@ EXIT_NUMERIC = 5
 
 _EPILOG = """exit codes:
   0  success
-  2  usage error (bad flags, or a non-finite flag value)
+  2  usage error (unknown, missing or malformed flags, or a flag value out of range)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
      a calibration package made for another teacher or without factors)
@@ -67,7 +67,16 @@ def _load_factored(args) -> tm.ToyModel:
     return model
 
 
-def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int) -> fg.BudgetConstraint:
+def _read_ranks(path: str, caps: np.ndarray) -> np.ndarray:
+    """The ranks in ``path``, one per layer of a model with ``caps``."""
+    ranks = mio.read_ranks_file(path)
+    if len(ranks) != len(caps):
+        raise PackageFormatError(f"{len(ranks)} ranks for {len(caps)} layers in {path}")
+    return ranks
+
+
+def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
+                      n_scale: float = fg.BudgetConstraint.n_scale) -> fg.BudgetConstraint:
     if args.target_params is not None:
         target = int(args.target_params)
     elif args.target_ratio is not None:
@@ -75,10 +84,9 @@ def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int) -> fg.BudgetConst
             raise ValueError(f"--target-ratio must be finite, got {args.target_ratio}")
         target = int(args.target_ratio * spec.dense_param_count(n_inc))
     else:
-        raise PackageFormatError("one of --target-params / --target-ratio is required")
+        raise ValueError("one of --target-params / --target-ratio is required")
     return fg.BudgetConstraint.from_shapes(
-        spec.layer_shapes, n_target=target, mode=args.mode, n_inc=n_inc,
-        n_scale=args.n_scale,
+        spec.layer_shapes, n_target=target, mode=args.mode, n_inc=n_inc, n_scale=n_scale,
     )
 
 
@@ -109,17 +117,13 @@ def cmd_compress(args) -> int:
     model = _load_factored(args)
     caps = model.spec.caps()
     if args.ranks is not None:
-        ranks = mio.read_ranks_file(args.ranks)
-        if len(ranks) != len(caps):
-            raise PackageFormatError(
-                f"{len(ranks)} ranks for {len(caps)} layers in {args.ranks}"
-            )
+        ranks = _read_ranks(args.ranks, caps)
     elif args.uniform is not None:
-        if not np.isfinite(args.uniform):
-            raise ValueError(f"--uniform must be finite, got {args.uniform}")
+        if not 0 < args.uniform <= 1:
+            raise ValueError(f"--uniform must be in (0, 1], got {args.uniform}")
         ranks = np.clip(np.floor(args.uniform * caps).astype(np.int64), 1, caps)
     else:
-        raise PackageFormatError("one of --ranks / --uniform is required")
+        raise ValueError("one of --ranks / --uniform is required")
 
     layers = [f.truncated(int(r)) for f, r in zip(model.factors, ranks)]
     if args.pivga:
@@ -152,7 +156,7 @@ def cmd_compress(args) -> int:
 def cmd_fermigrad(args) -> int:
     t0 = time.perf_counter()
     model = _load_factored(args)
-    budget = _budget_from_args(args, model.spec, model.n_inc)
+    budget = _budget_from_args(args, model.spec, model.n_inc, args.n_scale)
     cfg = fg.FermiConfig(T=args.T, r_min=args.r_min)
     sched = fg.RhoSchedule(rho0=args.rho0, alpha=args.alpha, rho_max=args.rho_max)
     opt = fg.OptimizerConfig(step_size=args.step, max_iters=args.iters,
@@ -210,8 +214,7 @@ def cmd_compare(args) -> int:
         label, _, path = item.partition("=")
         if not path:
             label, path = item, item
-        ranks = mio.read_ranks_file(path)
-        entries.append((label, ranks))
+        entries.append((label, _read_ranks(path, model.spec.caps())))
 
     budget = None
     if args.target_params is not None or args.target_ratio is not None:
@@ -224,11 +227,9 @@ def cmd_compare(args) -> int:
                                             grid_step=args.grid_step, r_min=args.r_min)
             entries.append(("brute-force", bf.ranks))
     elif args.uniform or args.brute_force:
-        raise PackageFormatError(
-            "--uniform/--brute-force need --target-params or --target-ratio"
-        )
+        raise ValueError("--uniform/--brute-force need --target-params or --target-ratio")
     if not entries:
-        raise PackageFormatError("nothing to compare: give --ranks and/or --uniform")
+        raise ValueError("nothing to compare: give --ranks and/or --uniform")
 
     rows = []
     for label, ranks in entries:
@@ -252,8 +253,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises flag errors as ValueError, so main reports them like any other
+    usage error: one JSON line and exit 2. Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lrcompress",
         description="Low-rank weight compression toolkit (data-aware SVD, "
                     "pivoted gauge fixing, gradient-based rank allocation).",
@@ -328,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target-params", type=int, default=None)
     q.add_argument("--target-ratio", type=float, default=None)
     q.add_argument("--mode", choices=["linear", "parabolic"], default="linear")
-    q.add_argument("--n-scale", type=float, default=1e9)
     q.add_argument("--samples", type=int, default=512)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", help="write a JSON comparison report here")
@@ -347,8 +355,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(t for t, _ in _EXIT_CODES) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

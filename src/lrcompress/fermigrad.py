@@ -167,7 +167,7 @@ class TrajectoryPoint:
     n_param: float
 
 
-def fermi_factors(mu, n_cap: int, temperature: float, length: int | None = None) -> np.ndarray:
+def fermi_factors(mu, n_cap: int, temperature: float) -> np.ndarray:
     """Logistic soft-truncation gates F_j = 1/(1 + exp((j - mu)/(n_cap*T))).
 
     F crosses 0.5 exactly at j = mu and transitions over a width of about
@@ -175,9 +175,7 @@ def fermi_factors(mu, n_cap: int, temperature: float, length: int | None = None)
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if length is None:
-        length = n_cap
-    j = np.arange(length, dtype=np.float64)
+    j = np.arange(n_cap, dtype=np.float64)
     return expit((mu - j) / (n_cap * temperature))
 
 

@@ -15,8 +15,8 @@ Round-tripping a float64 matrix is bit-exact. Permutation index files are
 raw little-endian u64 sequences. A model package is a directory with a
 manifest.json naming every layer, its shape and representation
 (dense | lowrank | pivga) and the files holding its factors. A calibration
-package holds each layer's C matrix and, when written by calibrate, its
-full-rank data-aware factors plus the digest of the teacher they belong to.
+package holds each layer's C matrix and full-rank data-aware factors, plus
+the digest of the teacher they belong to.
 """
 
 from __future__ import annotations
@@ -157,12 +157,6 @@ def read_json(path):
             raise PackageFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_manifest(path: Path, expected_format: str) -> dict:
     manifest = check_fields(read_json(path), path)
     if manifest.get("format") != expected_format:
@@ -244,7 +238,7 @@ def save_model_package(out_dir, spec: ToyModelSpec | None, layers, n_inc: int = 
         "spec": spec.to_dict() if spec is not None else None,
         "layers": entries,
     }
-    _write_manifest(out / "manifest.json", manifest)
+    write_report(out / "manifest.json", manifest)
 
 
 def load_model_package(in_dir) -> LoadedPackage:
@@ -321,12 +315,10 @@ def teacher_digest(model: ToyModel) -> str:
 
 
 def save_calibration_package(out_dir, mats, samples: int, seed: int,
-                             model: ToyModel | None = None) -> None:
-    """Write per-layer calibration matrices C_l, one LRMX file each.
-
-    With ``model``, its full-rank factors A_l, B_l are stored too, together
-    with the teacher digest (spec, n_inc, dense weights) that
-    load_calibration_factors checks.
+                             model: ToyModel) -> None:
+    """Write per-layer calibration matrices C_l and the full-rank factors A_l, B_l
+    of ``model``, one LRMX file each, with the teacher digest (spec, n_inc,
+    dense weights) that load_calibration_factors checks.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,16 +328,14 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int,
         fname = f"{name}.C.lrmx"
         write_matrix(out / fname, C)
         entries.append({"name": name, "file": fname, "dim": int(C.shape[0])})
+    for entry, f in zip(entries, model.factors):
+        files = {key: f"{entry['name']}.{key}.lrmx" for key in ("A", "B")}
+        write_matrix(out / files["A"], f.A)
+        write_matrix(out / files["B"], f.B)
+        entry["factors"] = files
     manifest = {"format": CALIB_FORMAT, "version": 1, "samples": samples,
-                "seed": seed, "layers": entries}
-    if model is not None:
-        for entry, f in zip(entries, model.factors):
-            files = {key: f"{entry['name']}.{key}.lrmx" for key in ("A", "B")}
-            write_matrix(out / files["A"], f.A)
-            write_matrix(out / files["B"], f.B)
-            entry["factors"] = files
-        manifest["teacher_sha256"] = teacher_digest(model)
-    _write_manifest(out / "manifest.json", manifest)
+                "seed": seed, "layers": entries, "teacher_sha256": teacher_digest(model)}
+    write_report(out / "manifest.json", manifest)
 
 
 def _read_calibration_manifest(path: Path) -> dict:
@@ -444,21 +434,19 @@ def read_trajectory_csv(path):
 
 
 def write_report(path, report: dict) -> None:
-    """Machine-parseable run report; key order is fixed for diffability."""
+    """Indented JSON with sorted keys, so equal content gives equal bytes: run
+    reports, package manifests and ranks files."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_ranks_file(path, allocation) -> None:
-    payload = {
+    write_report(path, {
         "ranks": [int(r) for r in allocation.ranks],
         "achieved_params": int(allocation.achieved_params),
         "target_params": int(allocation.target_params),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_ranks_file(path) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     PackageFormatError,
     SearchSpaceTooLarge,
 )
-from .fermigrad import BudgetConstraint, FermiConfig, RankAllocation, count_params
+from .fermigrad import BudgetConstraint, RankAllocation, count_params
 from .linalg import as_matrix, cholesky_whiten
 from .svdcompress import CalibState, accumulate_calibration, data_aware_svd
 
@@ -258,45 +258,16 @@ def layer_calibration_matrices(model: ToyModel, X) -> list:
             for h in fermigrad.layer_inputs(model.dense_weights, model.nonlinearity, X)]
 
 
-def _require_factors(model: ToyModel):
+def _factored_input(model: ToyModel, X) -> np.ndarray:
+    """``X`` as a matrix, after checking the model has factors and ``X`` its input width."""
     if model.factors is None:
         raise ValueError("model has no factors; call attach_data_aware_factors first")
-
-
-def forward(model: ToyModel, X, mode: str = "dense", mu=None,
-            fermi_cfg: FermiConfig | None = None, ranks=None) -> np.ndarray:
-    """Run the network in one of its representations; columns are samples.
-
-    mode="dense"  teacher weights as-is
-    mode="soft"   A (F * (B h)) with Fermi gates at ``mu`` (needs fermi_cfg)
-    mode="hard"   factors truncated to integer ``ranks``
-    mode="pivga"  hard truncation followed by pivoted gauge fixing per layer
-    """
     X = as_matrix(X, "X")
     if X.shape[0] != model.spec.input_dim:
         raise DimensionMismatch(
             f"input width {X.shape[0]}, model expects {model.spec.input_dim}"
         )
-    if mode == "dense":
-        return fermigrad.dense_forward(model.dense_weights, model.nonlinearity, X)
-    _require_factors(model)
-    if mode == "soft":
-        if mu is None:
-            raise ValueError("soft mode needs mu")
-        return fermigrad.soft_forward(
-            model.factors, model.nonlinearity, X, mu, fermi_cfg or FermiConfig()
-        )
-    if mode == "hard":
-        if ranks is None:
-            raise ValueError("hard mode needs ranks")
-        return fermigrad.hard_forward(model.factors, model.nonlinearity, X, ranks)
-    if mode == "pivga":
-        if ranks is None:
-            raise ValueError("pivga mode needs ranks")
-        layers = [pivga.pivga_factorize(f.truncated(int(ranks[l])))
-                  for l, f in enumerate(model.factors)]
-        return fermigrad.run(layers, model.nonlinearity, X)
-    raise ValueError(f"unknown mode {mode!r}")
+    return X
 
 
 @dataclass
@@ -321,13 +292,13 @@ class AllocationReport:
 
 def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
     """KL against the dense teacher plus parameter counts and layer residuals."""
-    _require_factors(model)
+    data = _factored_input(model, data)
     ranks = np.asarray(ranks, dtype=np.int64)
     caps = model.spec.caps()
     if np.any(ranks < 1) or np.any(ranks > caps):
         raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
-    teacher = forward(model, data, mode="dense")
-    student = forward(model, data, mode="hard", ranks=ranks)
+    teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
+    student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
     kl = fermigrad.kl_divergence(teacher.T, student.T)
     shapes = model.spec.layer_shapes
     lin = sum(pivga.param_count(m, n, int(r), "linear").decomposed
@@ -361,10 +332,9 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     ranks exceeds the budget, every later rank at that depth does too and
     the walk backtracks.
     """
-    _require_factors(model)
+    data = _factored_input(model, data)
     if grid_step < 1 or r_min < 1:
         raise ValueError(f"grid_step and r_min must be >= 1, got {grid_step} and {r_min}")
-    data = as_matrix(data, "data")
     caps = model.spec.caps()
     grids = [np.arange(r_min, int(c) + 1, grid_step) for c in caps]
     total = 1
@@ -375,7 +345,8 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     if total == 0:
         raise InfeasibleBudget(f"no grid point satisfies the budget {budget.n_target}")
     act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    terms = fermigrad._teacher_terms(as_matrix(forward(model, data, mode="dense").T))
+    teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
+    terms = fermigrad._teacher_terms(as_matrix(teacher.T))
     floor = np.array([g[0] for g in grids], dtype=np.int64)
     ranks = floor.copy()
     last = len(grids) - 1

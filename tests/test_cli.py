@@ -250,17 +250,31 @@ class TestErrorMapping:
         assert code == EXIT_NUMERIC
         assert json.loads(capsys.readouterr().err.strip())["error"] == "InfeasibleBudget"
 
-    def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["fermigrad", "--bogus-flag"])
-        assert exc.value.code == 2
+    def test_usage_error_exit_code(self, capsys):
+        for argv, topic in [(["fermigrad", "--model", "m", "--calib", "c", "--out-ranks", "r",
+                              "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+                            (["compress", "--model", "m", "--calib", "c"], "--out"),
+                            (["calibrate", "--model", "m", "--samples", "abc", "--out", "c"],
+                             "invalid int value")]:
+            assert main(argv) == EXIT_USAGE
+            err = _one_error_line(capsys)
+            assert err["error"] == "ValueError" and topic in err["message"], argv
 
-    def test_missing_target_is_format_error(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("cmd, flags, topic", [
+        ("fermigrad", ["--out-ranks", "r.json"], "--target-ratio is required"),
+        ("compress", ["--out", "s"], "--uniform is required"),
+        ("compare", ["--uniform"], "need --target-params"),
+        ("compare", [], "nothing to compare"),
+    ], ids=["target", "ranks-or-uniform", "uniform-needs-target", "nothing-to-compare"])
+    def test_missing_flag_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                         cmd, flags, topic):
         _, teacher, calib = pipeline
-        code = run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
-                    "--out-ranks", str(tmp_path / "r.json")])
-        assert code == EXIT_FORMAT
-        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = run([cmd, "--model", str(teacher), "--calib", str(calib), *flags])
+        assert code == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and topic in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys):
         _, teacher, calib = pipeline
@@ -379,6 +393,20 @@ class TestMalformedInput:
         assert code == EXIT_USAGE
         assert "must be >= 1" in _one_error_line(capsys)["message"]
 
+    @pytest.mark.parametrize("cmd, flags", [("compress", ["--out", "s"]), ("compare", [])])
+    def test_ranks_file_of_wrong_length(self, pipeline, tmp_path, capsys, monkeypatch,
+                                        cmd, flags):
+        _, teacher, calib = pipeline
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.json").write_text("[3]")
+        ranks = "short.json" if cmd == "compress" else "x=short.json"
+        code = run([cmd, "--model", str(teacher), "--calib", str(calib),
+                    "--ranks", ranks, *flags])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError"
+        assert err["message"] == "1 ranks for 2 layers in short.json"
+
 
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("flags, topic", [
@@ -405,13 +433,16 @@ class TestNonFiniteFlags:
         assert not ranks.exists()
 
     def test_compress_rejects_nonfinite_uniform(self, pipeline, tmp_path, capsys):
+        # and every other fraction outside (0, 1]
         _, teacher, calib = pipeline
         out = tmp_path / "s"
-        code = run(["compress", "--model", str(teacher), "--calib", str(calib),
-                    "--uniform", "nan", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert _one_error_line(capsys)["error"] == "ValueError"
-        assert not out.exists()
+        for kappa in ("nan", "inf", "0", "-1", "7"):
+            code = run(["compress", "--model", str(teacher), "--calib", str(calib),
+                        "--uniform", kappa, "--out", str(out)])
+            assert code == EXIT_USAGE, kappa
+            err = _one_error_line(capsys)
+            assert err["error"] == "ValueError" and "(0, 1]" in err["message"]
+            assert not out.exists()
 
 
 class TestFactorStore:
@@ -481,8 +512,8 @@ class TestFactorStore:
     def test_package_without_factors_is_format_error(self, pipeline, tmp_path, capsys):
         _, teacher, calib = pipeline
         bare = tmp_path / "calib"
-        mio.save_calibration_package(bare, mio.load_calibration_package(calib),
-                                     samples=256, seed=21)
+        shutil.copytree(calib, bare)
+        _edit_manifest(bare, lambda m: m.pop("teacher_sha256"))
         code = run(_consumer_argvs(teacher, bare, tmp_path)["compress"])
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)

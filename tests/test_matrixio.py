@@ -159,7 +159,7 @@ class TestModelPackage:
         pkg = mio.load_model_package(tmp_path / "pkg")
         X = tm.gen_calibration(spec, 16, seed=8)
         y1 = mio.package_forward(pkg, X)
-        y2 = tm.forward(model, X, mode="dense")
+        y2 = dense_forward(model.dense_weights, model.nonlinearity, X)
         assert np.allclose(y1, y2, atol=1e-12)
 
 
@@ -168,7 +168,10 @@ class TestCalibrationPackage:
         rng = np.random.default_rng(9)
         mats = [X @ X.T for X in (rng.standard_normal((6, 20)),
                                   rng.standard_normal((4, 15)))]
-        mio.save_calibration_package(tmp_path / "calib", mats, samples=20, seed=3)
+        model = tm.build_teacher(tm.ToyModelSpec(layer_shapes=[(4, 6), (3, 4)],
+                                                 planted_ranks=[2, 2]))
+        tm.attach_factors_from_calibration(model, mats)
+        mio.save_calibration_package(tmp_path / "calib", mats, samples=20, seed=3, model=model)
         back = mio.load_calibration_package(tmp_path / "calib")
         for a, b in zip(mats, back):
             assert np.array_equal(a, b)

@@ -14,6 +14,7 @@ from lrcompress import (
     evaluate_allocation,
     gen_calibration,
     kl_divergence,
+    pivga_factorize,
     svd_descending,
     truncation_error,
     uniform_ranks,
@@ -23,7 +24,7 @@ from lrcompress import toymodels as tm
 from lrcompress.errors import DimensionMismatch
 from lrcompress.fermigrad import BudgetConstraint, FermiConfig
 from lrcompress.svdcompress import LowRankFactors
-from lrcompress.toymodels import ToyModelSpec, attach_data_aware_factors, forward
+from lrcompress.toymodels import ToyModelSpec, attach_data_aware_factors
 
 
 @pytest.fixture(scope="module")
@@ -133,39 +134,40 @@ class TestForwardModes:
     def test_dense_equals_hard_at_full_rank(self, default_model):
         spec, model, X = default_model
         Xb = X[:, :32]
-        dense = forward(model, Xb, mode="dense")
-        hard = forward(model, Xb, mode="hard", ranks=spec.caps())
+        dense = fg.dense_forward(model.dense_weights, model.nonlinearity, Xb)
+        hard = fg.hard_forward(model.factors, model.nonlinearity, Xb, spec.caps())
         assert np.linalg.norm(dense - hard) <= 1e-8 * np.linalg.norm(dense)
 
     def test_hard_equals_soft_at_midpoint_saturation(self, default_model):
         spec, model, X = default_model
         Xb = X[:, :32]
         ranks = np.array([5, 9, 17, 40])
-        hard = forward(model, Xb, mode="hard", ranks=ranks)
-        soft = forward(model, Xb, mode="soft", mu=ranks - 0.5,
-                       fermi_cfg=FermiConfig(T=1e-5, r_min=1))
+        hard = fg.hard_forward(model.factors, model.nonlinearity, Xb, ranks)
+        soft = fg.soft_forward(model.factors, model.nonlinearity, Xb, ranks - 0.5,
+                               FermiConfig(T=1e-5, r_min=1))
         assert np.linalg.norm(hard - soft) <= 1e-5 * np.linalg.norm(hard)
 
     def test_hard_equals_pivga(self, default_model):
         spec, model, X = default_model
         Xb = X[:, :32]
         ranks = np.array([5, 9, 17, 40])
-        hard = forward(model, Xb, mode="hard", ranks=ranks)
-        piv = forward(model, Xb, mode="pivga", ranks=ranks)
+        hard = fg.hard_forward(model.factors, model.nonlinearity, Xb, ranks)
+        piv = fg.run([pivga_factorize(f.truncated(int(r))) for f, r in zip(model.factors, ranks)],
+                     model.nonlinearity, Xb)
         assert np.linalg.norm(hard - piv) <= 1e-8 * np.linalg.norm(hard)
 
     def test_soft_saturated_equals_dense(self, default_model):
         spec, model, X = default_model
         Xb = X[:, :32]
-        dense = forward(model, Xb, mode="dense")
-        soft = forward(model, Xb, mode="soft", mu=spec.caps().astype(float),
-                       fermi_cfg=FermiConfig(T=1e-4, r_min=1))
+        dense = fg.dense_forward(model.dense_weights, model.nonlinearity, Xb)
+        soft = fg.soft_forward(model.factors, model.nonlinearity, Xb, spec.caps().astype(float),
+                               FermiConfig(T=1e-4, r_min=1))
         assert np.linalg.norm(dense - soft) <= 1e-8 * np.linalg.norm(dense)
 
     def test_width_check(self, default_model):
-        _, model, _ = default_model
-        with pytest.raises(DimensionMismatch):
-            forward(model, np.zeros((63, 4)), mode="dense")
+        spec, model, _ = default_model
+        with pytest.raises(DimensionMismatch, match="input width 63"):
+            evaluate_allocation(model, np.zeros((63, 4)), spec.caps())
 
 
 class TestEvaluateAllocation:
@@ -189,8 +191,8 @@ class TestEvaluateAllocation:
         Xe = X[:, :48]
         ranks = np.array([6, 10, 14, 30])
         rep = evaluate_allocation(model, Xe, ranks)
-        t = forward(model, Xe, mode="dense")
-        s = forward(model, Xe, mode="hard", ranks=ranks)
+        t = fg.dense_forward(model.dense_weights, model.nonlinearity, Xe)
+        s = fg.hard_forward(model.factors, model.nonlinearity, Xe, ranks)
         assert rep.kl == kl_divergence(t.T, s.T)
 
     def test_param_counts_match_formulas(self, default_model):
@@ -227,14 +229,15 @@ def reference_brute_force(model, data, budget, grid_step=1, r_min=1):
     None when no tuple fits the budget.
     """
     grids = [np.arange(r_min, int(c) + 1, grid_step) for c in model.spec.caps()]
-    teacher = forward(model, data, mode="dense").T
+    teacher = fg.dense_forward(model.dense_weights, model.nonlinearity, data).T
     best = None
     for combo in itertools.product(*grids):
         ranks = np.array(combo, dtype=np.int64)
         achieved = fg.count_params(ranks, budget)
         if achieved > budget.n_target:
             continue
-        kl = kl_divergence(teacher, forward(model, data, mode="hard", ranks=ranks).T)
+        student = fg.hard_forward(model.factors, model.nonlinearity, data, ranks)
+        kl = kl_divergence(teacher, student.T)
         if best is None or kl < best[2]:
             best = (ranks, achieved, kl)
     return best
@@ -357,7 +360,7 @@ class TestBruteForceWalk:
     def test_one_kl_per_feasible_tuple_and_one_teacher(self, teacher, monkeypatch, mode):
         model, X = teacher
         budget = _budget_between(model, mode, 0.5, 1)
-        counts = {"_teacher_terms": 0, "_kl_against": 0, "forward": 0, "truncated": 0,
+        counts = {"_teacher_terms": 0, "_kl_against": 0, "dense_forward": 0, "truncated": 0,
                   "count_params": 0}
 
         def counted(owner, name):
@@ -371,7 +374,7 @@ class TestBruteForceWalk:
 
         counted(fg, "_teacher_terms")
         counted(fg, "_kl_against")
-        counted(tm, "forward")
+        counted(fg, "dense_forward")
         counted(LowRankFactors, "truncated")
         counted(tm, "count_params")
         brute_force_rank_search(model, X, budget, grid_step=1, r_min=1)
@@ -381,8 +384,8 @@ class TestBruteForceWalk:
         # feasible children plus at most the one infeasible rank it stops at
         nodes = sum(map(len, levels))
         assert counts.pop("count_params") <= nodes + 1 + sum(map(len, levels[:-1]))
-        assert counts == {"_teacher_terms": 1, "_kl_against": len(levels[-1]), "forward": 1,
-                          "truncated": nodes}
+        assert counts == {"_teacher_terms": 1, "_kl_against": len(levels[-1]),
+                          "dense_forward": 1, "truncated": nodes}
 
     def test_rank_floor_above_a_cap_is_infeasible(self, teacher):
         model, X = teacher
