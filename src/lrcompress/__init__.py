@@ -26,7 +26,6 @@ from .errors import (
     PackageFormatError,
     RankDeficient,
     SearchSpaceTooLarge,
-    SingularMatrix,
     ToolkitError,
 )
 from .fermigrad import (
@@ -48,7 +47,7 @@ from .fermigrad import (
     soft_truncate_effective,
     uniform_ranks,
 )
-from .linalg import SvdResult, cholesky_whiten, lu_row_pivots, solve_general, svd_descending
+from .linalg import SvdResult, cholesky_whiten, lu_row_pivots, svd_descending
 from .pivga import (
     ParamCount,
     PivGaFactors,

@@ -72,6 +72,9 @@ def _read_ranks(path: str, caps: np.ndarray) -> np.ndarray:
     ranks = mio.read_ranks_file(path)
     if len(ranks) != len(caps):
         raise PackageFormatError(f"{len(ranks)} ranks for {len(caps)} layers in {path}")
+    for layer, (r, cap) in enumerate(zip(ranks, caps)):
+        if not 1 <= r <= cap:
+            raise PackageFormatError(f"{path}: layer {layer} rank {r} outside [1, {cap}]")
     return ranks
 
 

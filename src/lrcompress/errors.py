@@ -30,10 +30,6 @@ class RankDeficient(ToolkitError):
     """Pivoted elimination stalled before the requested number of pivots."""
 
 
-class SingularMatrix(ToolkitError):
-    """Linear solve rejected: estimated condition number too large."""
-
-
 class IllConditioned(ToolkitError):
     """Gauge-fixing block too ill-conditioned to invert safely."""
 

@@ -367,6 +367,8 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
 
 
 def _check_feasible(mu: MuVector, budget: BudgetConstraint):
+    if np.any(mu.caps < mu.r_min):
+        raise InfeasibleBudget(f"a layer cap is below r_min={mu.r_min}")
     lo = count_params(np.full_like(mu.caps, mu.r_min), budget)
     hi = count_params(mu.caps, budget)
     if not lo <= budget.n_target <= hi:

@@ -4,7 +4,8 @@ SVD and Cholesky delegate to LAPACK (via numpy) with post-processing that
 pins down gauge signs and jitter behaviour. Skeleton-column selection reads
 its pivot order from one LAPACK ``getrf`` (partial pivoting: at each step the
 first maximum of the computed magnitudes, as LAPACK ``idamax`` picks it) and
-applies our own rank-deficiency threshold to the diagonal of U.
+applies our own rank-deficiency threshold to the diagonal of U; PivGa reuses
+the same packed L and U for its D block instead of factorizing again.
 
 All computation is in 64-bit floats. Inputs are validated to be finite;
 every function is a pure function of its arguments.
@@ -23,7 +24,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
-    SingularMatrix,
 )
 
 # Relative jitter multipliers tried in order; scaled by mean(diag(C)).
@@ -80,10 +80,10 @@ def svd_descending(W) -> SvdResult:
     return SvdResult(U=U, sigma=sigma, Vt=Vt)
 
 
-def cholesky_whiten(C, jitter_ladder=JITTER_LADDER) -> np.ndarray:
+def cholesky_whiten(C) -> np.ndarray:
     """Lower-triangular S with S @ S.T = C + eps*I for the smallest workable eps.
 
-    ``eps`` is taken from ``jitter_ladder`` (relative multipliers of
+    ``eps`` is taken from ``JITTER_LADDER`` (relative multipliers of
     mean(diag(C))), smallest first. Raises NotSymmetric if C is visibly
     asymmetric, NotPositiveDefinite if the whole ladder fails.
     """
@@ -95,28 +95,23 @@ def cholesky_whiten(C, jitter_ladder=JITTER_LADDER) -> np.ndarray:
     if scale > 0.0 and float(np.abs(C - C.T).max()) > 1e-8 * scale:
         raise NotSymmetric("C deviates from symmetry by more than 1e-8 relative")
     diag_mean = float(np.mean(np.diag(C)))
-    for rel in jitter_ladder:
+    for rel in JITTER_LADDER:
         eps = rel * diag_mean
         try:
             return np.linalg.cholesky(C + eps * np.eye(n))
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefinite(
-        f"Cholesky failed for every jitter in {tuple(jitter_ladder)}"
+        f"Cholesky failed for every jitter in {JITTER_LADDER}"
     )
 
 
-def lu_row_pivots(M, r: int) -> np.ndarray:
-    """First ``r`` pivot-row indices of Gaussian elimination with row pivoting.
+def _pivoted_lu(M, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row order and packed LU factors of row-pivoted elimination on M[:, :r].
 
-    Returned in pivot order (the order elimination selected them). At each
-    column the row holding the first maximum of the computed magnitudes
-    among the remaining rows is chosen (LAPACK ``idamax``). Where
-    elimination produces magnitudes that tie exactly, as it can on small
-    integer-valued matrices, round-off in LAPACK's scaling by the
-    reciprocal pivot may break the tie towards a different, equally valid
-    row. Only the first ``r`` columns of M take part. Raises RankDeficient
-    if a pivot falls below 1e-12 * max|M| before r pivots are found.
+    One LAPACK ``getrf``: M[order, :r] = L @ U with L unit lower (rows x r)
+    and U upper (r x r), both packed in the returned array, whose rows are
+    already in ``order``. Raises as ``lu_row_pivots`` does.
     """
     M = as_matrix(M, "M")
     rows, cols = M.shape
@@ -132,51 +127,22 @@ def lu_row_pivots(M, r: int) -> np.ndarray:
             f"pivot {k} magnitude {pivots[k]:.3e} below threshold {tol:.3e}"
         )
     # ipiv[k] is the row swapped with row k at step k; replay the swaps.
-    idx = np.arange(rows)
+    order = np.arange(rows)
     for k, p in enumerate(ipiv):
-        idx[k], idx[p] = idx[p], idx[k]
-    return idx[:r].copy()
+        order[k], order[p] = order[p], order[k]
+    return order, lu
 
 
-def _lu_solve_refined(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with M @ X = rhs (2-D) by LU, plus up to three refinement passes.
+def lu_row_pivots(M, r: int) -> np.ndarray:
+    """First ``r`` pivot-row indices of Gaussian elimination with row pivoting.
 
-    The passes reuse the factorization and push the residual to the
-    round-off floor. The caller validates M and guards its conditioning.
+    Returned in pivot order (the order elimination selected them). At each
+    column the row holding the first maximum of the computed magnitudes
+    among the remaining rows is chosen (LAPACK ``idamax``). Where
+    elimination produces magnitudes that tie exactly, as it can on small
+    integer-valued matrices, round-off in LAPACK's scaling by the
+    reciprocal pivot may break the tie towards a different, equally valid
+    row. Only the first ``r`` columns of M take part. Raises RankDeficient
+    if a pivot falls below 1e-12 * max|M| before r pivots are found.
     """
-    lu_piv = scipy.linalg.lu_factor(M)
-    X = scipy.linalg.lu_solve(lu_piv, rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    for _ in range(3):
-        residual = rhs - M @ X
-        if np.linalg.norm(residual) <= 1e-12 * rhs_norm:
-            break
-        X += scipy.linalg.lu_solve(lu_piv, residual)
-    return X
-
-
-def solve_general(M, RHS) -> np.ndarray:
-    """Solve M @ X = RHS for square M, with a condition-number guard.
-
-    Iterative refinement (up to three passes, reusing the factorization)
-    pushes the residual to the round-off floor. RHS may be a vector or a
-    matrix of right-hand sides (columns). Raises SingularMatrix when the
-    estimated 2-norm condition number of M exceeds 1e12.
-    """
-    M = as_matrix(M, "M")
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise DimensionMismatch(f"M must be square, got {M.shape}")
-    rhs = np.asarray(RHS, dtype=np.float64)
-    vector_input = rhs.ndim == 1
-    if vector_input:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"RHS has {rhs.shape[0]} rows, expected {n}")
-    if rhs.shape[1] == 0:
-        return np.zeros((n, 0))
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrix(f"condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    X = _lu_solve_refined(M, rhs)
-    return X[:, 0] if vector_input else X
+    return _pivoted_lu(M, r)[0][:r].copy()

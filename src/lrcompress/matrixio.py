@@ -47,16 +47,13 @@ MODEL_FORMAT = "lrcompress-model"
 CALIB_FORMAT = "lrcompress-calib"
 
 
-def write_matrix(path, M, dtype: str = "f64") -> None:
-    """Write a 2-D array as an LRMX file; dtype "f64" (exact) or "f32"."""
+def write_matrix(path, M) -> None:
+    """Write a 2-D array as an LRMX file with an exact f64 payload."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise PackageFormatError(f"can only store 2-D matrices, got ndim={M.ndim}")
-    code = {"f64": DTYPE_F64, "f32": DTYPE_F32}.get(dtype)
-    if code is None:
-        raise PackageFormatError(f"dtype must be 'f64' or 'f32', got {dtype!r}")
-    header = _HEADER.pack(MAGIC, VERSION, code, 0, M.shape[0], M.shape[1])
-    payload = np.ascontiguousarray(M).astype(_DTYPES[code]).tobytes()
+    header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64, 0, M.shape[0], M.shape[1])
+    payload = M.astype(_DTYPES[DTYPE_F64]).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

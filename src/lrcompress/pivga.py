@@ -7,8 +7,10 @@ block into an implicit identity, dropping r^2 stored parameters:
     W_r = A B = Cmat [I | D] P^T,   Cmat = A B0,  D = B0^{-1} B1,
 
 where P gathers the skeleton columns (the pivot rows of one LAPACK ``getrf``
-of B^T) to the front. Selection and the D-solve run on B (r x n) rather than on
-the full product: the columns of A @ B are independent exactly when the
+of B^T) to the front. That same ``getrf`` gives D: it factors
+B^T P = [L11; L21] U with L unit lower, so B0 = U^T L11^T, B1 = U^T L21^T and
+D = L11^{-T} L21^T, one triangular solve. Both run on B (r x n) rather than
+on the full product: the columns of A @ B are independent exactly when the
 corresponding columns of B are, and B is r x n instead of m x n.
 """
 
@@ -17,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, IllConditioned
-from .linalg import COND_LIMIT, _lu_solve_refined, lu_row_pivots
+from .linalg import COND_LIMIT, _pivoted_lu
 from .svdcompress import LowRankFactors
 
 
@@ -58,22 +61,28 @@ class ParamCount:
     permutation_indices: int
 
 
+def _skeleton(B) -> tuple[np.ndarray, np.ndarray]:
+    """Skeleton permutation of B and the packed LU of B^T with rows in that order."""
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2:
+        raise DimensionMismatch("B must be 2-D")
+    r = B.shape[0]
+    order, lu = _pivoted_lu(B.T, r)
+    rows = np.concatenate([np.arange(r), r + np.argsort(order[r:])])
+    return order[rows].astype(np.int64), lu[rows]
+
+
 def select_skeleton_columns(B) -> np.ndarray:
     """Permutation putting r independent (skeleton) columns of B first.
 
     The first r entries are the pivot rows of row-pivoted elimination on
     B^T, in pivot order; the remaining indices follow in ascending order.
     """
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2:
-        raise DimensionMismatch("B must be 2-D")
-    r, n = B.shape
-    pivots = lu_row_pivots(B.T, r)
-    rest = np.setdiff1d(np.arange(n), pivots, assume_unique=False)
-    return np.concatenate([pivots, rest]).astype(np.int64)
+    return _skeleton(B)[0]
 
 
-def _gauge_fix(f: LowRankFactors, perm: np.ndarray) -> PivGaFactors:
+def _gauge_fix(f: LowRankFactors, perm: np.ndarray, lu: np.ndarray | None) -> PivGaFactors:
+    """Gauge-fix against the block ``perm`` puts first; D from ``lu`` (B^T's, in ``perm`` order)."""
     r = f.rank
     Bp = f.B[:, perm]
     B0, B1 = Bp[:, :r], Bp[:, r:]
@@ -83,13 +92,16 @@ def _gauge_fix(f: LowRankFactors, perm: np.ndarray) -> PivGaFactors:
             f"leading block condition {cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "keep the plain factors for this layer"
         )
-    # B0 is guarded above, so skip solve_general's second condition number.
+    if lu is None:
+        D = scipy.linalg.solve(B0, B1)
+    else:
+        D = scipy.linalg.solve_triangular(lu[:r], lu[r:].T, trans="T", lower=True,
+                                          unit_diagonal=True)
     # D is kept in C order, as load_model_package returns it: D @ x2 is faster.
-    D = np.ascontiguousarray(_lu_solve_refined(B0, B1))
     return PivGaFactors(
         Cmat=f.A @ B0,
-        D=D,
-        perm=perm.astype(np.int64),
+        D=np.ascontiguousarray(D),
+        perm=perm,
         rank=r,
         n_cols=f.B.shape[1],
         cond_b0=cond,
@@ -98,7 +110,7 @@ def _gauge_fix(f: LowRankFactors, perm: np.ndarray) -> PivGaFactors:
 
 def pivga_factorize(f: LowRankFactors) -> PivGaFactors:
     """Gauge-fix against a pivoted skeleton block of B (the safe default)."""
-    return _gauge_fix(f, select_skeleton_columns(f.B))
+    return _gauge_fix(f, *_skeleton(f.B))
 
 
 def gauge_fix_unpivoted(f: LowRankFactors) -> PivGaFactors:
@@ -108,7 +120,7 @@ def gauge_fix_unpivoted(f: LowRankFactors) -> PivGaFactors:
     baseline the pivoted variant improves on. The measured condition
     number is reported in ``cond_b0`` either way.
     """
-    return _gauge_fix(f, np.arange(f.B.shape[1], dtype=np.int64))
+    return _gauge_fix(f, np.arange(f.B.shape[1], dtype=np.int64), None)
 
 
 def pivga_forward(x, f: PivGaFactors) -> np.ndarray:

@@ -250,6 +250,17 @@ class TestErrorMapping:
         assert code == EXIT_NUMERIC
         assert json.loads(capsys.readouterr().err.strip())["error"] == "InfeasibleBudget"
 
+    def test_r_min_above_a_layer_cap_is_named(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        code = run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "17",
+                    "--out-ranks", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        err = _one_error_line(capsys)
+        assert err == {"error": "InfeasibleBudget",
+                       "message": "a layer cap is below r_min=17"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_code(self, capsys):
         for argv, topic in [(["fermigrad", "--model", "m", "--calib", "c", "--out-ranks", "r",
                               "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
@@ -406,6 +417,23 @@ class TestMalformedInput:
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError"
         assert err["message"] == "1 ranks for 2 layers in short.json"
+
+    @pytest.mark.parametrize("rank", [0, 17], ids=["zero", "cap-plus-one"])
+    @pytest.mark.parametrize("cmd, flags", [("compress", ["--out", "s"]),
+                                            ("compare", ["--out", "cmp.json"])])
+    def test_ranks_file_out_of_range(self, pipeline, tmp_path, capsys, monkeypatch,
+                                     cmd, flags, rank):
+        _, teacher, calib = pipeline
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(json.dumps([rank, 8]))
+        ranks = "bad.json" if cmd == "compress" else "x=bad.json"
+        code = run([cmd, "--model", str(teacher), "--calib", str(calib),
+                    "--ranks", ranks, *flags])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError"
+        assert err["message"] == f"bad.json: layer 0 rank {rank} outside [1, 16]"
+        assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
 
 
 class TestNonFiniteFlags:

@@ -1,4 +1,4 @@
-"""Numeric-core contracts: SVD, Cholesky whitening, pivoted LU, solves."""
+"""Numeric-core contracts: SVD, Cholesky whitening, pivoted LU."""
 
 import re
 
@@ -9,10 +9,8 @@ from lrcompress import (
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
-    SingularMatrix,
     cholesky_whiten,
     lu_row_pivots,
-    solve_general,
     svd_descending,
 )
 from lrcompress.errors import DimensionMismatch
@@ -220,52 +218,3 @@ class TestLuRowPivots:
             lu_row_pivots(np.eye(3), 0)
         with pytest.raises(DimensionMismatch):
             lu_row_pivots(np.eye(3), 4)
-
-
-class TestSolveGeneral:
-    def test_identity(self):
-        rhs = np.arange(6.0).reshape(3, 2)
-        assert np.allclose(solve_general(np.eye(3), rhs), rhs)
-
-    def test_diagonal(self):
-        X = solve_general(np.diag([2.0, 4.0]), np.array([[2.0], [4.0]]))
-        assert np.allclose(X, [[1.0], [1.0]])
-
-    def test_residual_bound(self):
-        rng = np.random.default_rng(29)
-        M = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        RHS = rng.standard_normal((8, 3))
-        X = solve_general(M, RHS)
-        assert np.linalg.norm(M @ X - RHS) <= 1e-10 * np.linalg.norm(RHS)
-
-    def test_residual_bound_moderate_conditioning(self):
-        # refinement holds the residual down even at condition ~1e6
-        rng = np.random.default_rng(33)
-        U, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        V, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        M = U @ np.diag(np.logspace(0, -6, 12)) @ V.T
-        RHS = rng.standard_normal((12, 2))
-        X = solve_general(M, RHS)
-        assert np.linalg.norm(M @ X - RHS) <= 1e-10 * np.linalg.norm(RHS)
-
-    def test_vector_rhs(self):
-        rng = np.random.default_rng(37)
-        M = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        b = rng.standard_normal(5)
-        x = solve_general(M, b)
-        assert x.shape == (5,)
-        assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_empty_rhs(self):
-        X = solve_general(np.eye(4), np.zeros((4, 0)))
-        assert X.shape == (4, 0)
-
-    def test_singular_raises(self):
-        M = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrix):
-            solve_general(M, np.eye(2))
-
-    def test_huge_condition_raises(self):
-        M = np.diag([1.0, 1e-13])
-        with pytest.raises(SingularMatrix):
-            solve_general(M, np.eye(2))

@@ -45,7 +45,8 @@ class TestMatrixFile:
         rng = np.random.default_rng(3)
         M = rng.standard_normal((4, 4))
         path = tmp_path / "m32.lrmx"
-        mio.write_matrix(path, M, dtype="f32")
+        header = mio._HEADER.pack(mio.MAGIC, mio.VERSION, mio.DTYPE_F32, 0, 4, 4)
+        path.write_bytes(header + M.astype("<f4").tobytes())
         back = mio.read_matrix(path)
         assert back.dtype == np.float64
         assert np.array_equal(back, M.astype(np.float32).astype(np.float64))

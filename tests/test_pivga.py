@@ -134,6 +134,38 @@ class TestPivgaFactorize:
         assert calls == [(6, 6)]
         assert pf.cond_b0 == cond(f.B[:, pf.perm[:6]])
 
+    def test_one_getrf_and_no_second_factorization(self, monkeypatch):
+        calls = []
+        getrf = scipy.linalg.lapack.dgetrf
+
+        def counting_getrf(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return getrf(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("D must come from the selection's own LU")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counting_getrf)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        for seed, (m, n, r) in enumerate([(20, 30, 6), (9, 5, 5), (2, 2, 1)]):
+            calls.clear()
+            pivga_factorize(seeded_factors(50 + seed, m, n, r))
+            assert calls == [(n, r)]
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["gaussian", "graded-rows"])
+    def test_d_matches_reference_solve(self, graded):
+        rng = np.random.default_rng(60)
+        r, n = 24, 80
+        B = rng.standard_normal((r, n))
+        if graded:
+            # row scales falling like the singular values of data-aware factors
+            B *= np.logspace(0, -3, r)[:, None]
+        pf = pivga_factorize(LowRankFactors(A=rng.standard_normal((30, r)), B=B))
+        Bp = B[:, pf.perm]
+        D_ref = np.linalg.solve(Bp[:, :r], Bp[:, r:])
+        assert np.linalg.norm(pf.D - D_ref) <= 1e-12 * np.linalg.norm(D_ref)
+
     def test_factors_c_contiguous_before_and_after_round_trip(self, tmp_path):
         pf = pivga_factorize(seeded_factors(17, 24, 40, 8))
         mio.save_model_package(tmp_path / "pkg", None, [pf])
