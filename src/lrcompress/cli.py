@@ -49,6 +49,19 @@ _EPILOG = """exit codes:
 """
 
 
+class _StageTimer:
+    """Wall seconds of consecutive stages: each lap ends one stage and starts the next."""
+
+    def __init__(self):
+        self.stages: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.stages[name] = now - self._last
+        self._last = now
+
+
 def _load_spec(spec_arg: str | None, seed: int | None) -> tm.ToyModelSpec:
     if spec_arg is None or spec_arg == "default":
         spec = tm.default_spec(seed=seed if seed is not None else 0)
@@ -158,6 +171,7 @@ def cmd_compress(args) -> int:
 
 def cmd_fermigrad(args) -> int:
     t0 = time.perf_counter()
+    timings = _StageTimer()
     model = _load_factored(args)
     budget = _budget_from_args(args, model.spec, model.n_inc, args.n_scale)
     cfg = fg.FermiConfig(T=args.T, r_min=args.r_min)
@@ -165,14 +179,18 @@ def cmd_fermigrad(args) -> int:
     opt = fg.OptimizerConfig(step_size=args.step, max_iters=args.iters,
                              mu_tol=args.mu_tol, constraint_tol=args.constraint_tol,
                              batch_size=args.batch_size)
+    timings.lap("load")
     data = tm.gen_calibration(model.spec, args.kl_samples, args.seed)
     trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
+    timings.lap("optimize")
     mio.write_ranks_file(args.out_ranks, alloc)
     if args.trajectory:
         mio.write_trajectory_csv(args.trajectory, trajectory)
+    timings.lap("write")
 
     eval_data = tm.gen_calibration(model.spec, args.kl_samples, args.seed + 1)
     evaluation = tm.evaluate_allocation(model, eval_data, alloc.ranks)
+    timings.lap("evaluate")
     report = {
         "command": "fermigrad",
         "config": {
@@ -197,6 +215,7 @@ def cmd_fermigrad(args) -> int:
         "budget_gap_params": int(alloc.target_params - alloc.achieved_params),
         "kl_eval": evaluation.kl,
         "per_layer_residual": [float(x) for x in evaluation.per_layer_residual],
+        "timings_s": timings.stages,
         "wall_time_s": time.perf_counter() - t0,
     }
     if args.report:
@@ -219,6 +238,7 @@ def cmd_compare(args) -> int:
             label, path = item, item
         entries.append((label, _read_ranks(path, model.spec.caps())))
 
+    terms = tm.teacher_terms(model, data)
     budget = None
     if args.target_params is not None or args.target_ratio is not None:
         budget = _budget_from_args(args, model.spec, model.n_inc)
@@ -227,7 +247,8 @@ def cmd_compare(args) -> int:
             entries.append(("uniform", uni.ranks))
         if args.brute_force:
             bf = tm.brute_force_rank_search(model, data, budget,
-                                            grid_step=args.grid_step, r_min=args.r_min)
+                                            grid_step=args.grid_step, r_min=args.r_min,
+                                            terms=terms)
             entries.append(("brute-force", bf.ranks))
     elif args.uniform or args.brute_force:
         raise ValueError("--uniform/--brute-force need --target-params or --target-ratio")
@@ -236,7 +257,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     for label, ranks in entries:
-        rep = tm.evaluate_allocation(model, data, ranks)
+        rep = tm.evaluate_allocation(model, data, ranks, terms)
         rows.append({"label": label, **rep.to_dict()})
     report = {
         "command": "compare",

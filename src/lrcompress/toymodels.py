@@ -290,16 +290,27 @@ class AllocationReport:
         }
 
 
-def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
-    """KL against the dense teacher plus parameter counts and layer residuals."""
+def teacher_terms(model: ToyModel, data):
+    """The dense teacher's output probabilities and their logs on ``data``
+    (columns are samples), reusable by every student scored on that data."""
+    teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
+    return fermigrad._teacher_terms(as_matrix(teacher.T))
+
+
+def evaluate_allocation(model: ToyModel, data, ranks, terms=None) -> AllocationReport:
+    """KL against the dense teacher plus parameter counts and layer residuals.
+
+    ``terms`` is ``teacher_terms(model, data)``, computed here when not given.
+    """
     data = _factored_input(model, data)
     ranks = np.asarray(ranks, dtype=np.int64)
     caps = model.spec.caps()
     if np.any(ranks < 1) or np.any(ranks > caps):
         raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
-    teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
+    if terms is None:
+        terms = teacher_terms(model, data)
     student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
-    kl = fermigrad.kl_divergence(teacher.T, student.T)
+    kl = fermigrad._kl_against(terms, as_matrix(student.T))
     shapes = model.spec.layer_shapes
     lin = sum(pivga.param_count(m, n, int(r), "linear").decomposed
               for (m, n), r in zip(shapes, ranks)) + model.n_inc
@@ -317,7 +328,7 @@ def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
 
 
 def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
-                            grid_step: int = 1, r_min: int = 1) -> RankAllocation:
+                            grid_step: int = 1, r_min: int = 1, terms=None) -> RankAllocation:
     """Exhaustive KL-minimal rank tuple on the grid {r_min, r_min+step, ..., N_l}.
 
     Only feasible for a handful of small layers: the grid size is guarded
@@ -330,7 +341,7 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     A layer's count is nondecreasing in its rank (a_l r, or r (a_l - r)
     with r <= a_l / 2), so once a prefix completed with the lowest grid
     ranks exceeds the budget, every later rank at that depth does too and
-    the walk backtracks.
+    the walk backtracks. ``terms`` is as for ``evaluate_allocation``.
     """
     data = _factored_input(model, data)
     if grid_step < 1 or r_min < 1:
@@ -345,8 +356,8 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     if total == 0:
         raise InfeasibleBudget(f"no grid point satisfies the budget {budget.n_target}")
     act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
-    terms = fermigrad._teacher_terms(as_matrix(teacher.T))
+    if terms is None:
+        terms = teacher_terms(model, data)
     floor = np.array([g[0] for g in grids], dtype=np.int64)
     ranks = floor.copy()
     last = len(grids) - 1

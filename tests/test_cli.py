@@ -153,11 +153,25 @@ class TestFermigrad:
             trajs.append(traj.read_bytes())
             reports.append(json.loads(report.read_text()))
         assert trajs[0] == trajs[1]
-        # reports are identical apart from the wall-time field
+        # reports are identical apart from the wall-time and stage-time fields
         for rep in reports:
             rep.pop("wall_time_s")
+            rep.pop("timings_s")
             rep["trajectory_csv"] = None
         assert reports[0] == reports[1]
+
+    def test_report_times_each_stage(self, pipeline, tmp_path):
+        _, teacher, calib = pipeline
+        report = tmp_path / "report.json"
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--iters", "20",
+                    "--out-ranks", str(tmp_path / "r.json"),
+                    "--report", str(report)]) == EXIT_OK
+        rep = json.loads(report.read_text())
+        stages = rep["timings_s"]
+        assert sorted(stages) == ["evaluate", "load", "optimize", "write"]
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= rep["wall_time_s"]
 
     @pytest.mark.parametrize("iters, reason", [(5, "iteration_cap"), (2000, "converged")])
     def test_report_says_why_it_stopped(self, pipeline, tmp_path, capsys, iters, reason):

@@ -287,6 +287,18 @@ class TestGradMu:
             else:
                 assert abs(gi - fdi) <= 1e-4 * abs(fdi)
 
+    def test_wrong_mu_length_raises(self):
+        spec, model, X = small_model(seed=7)
+        cfg = FermiConfig(T=0.01, r_min=1)
+        budget = BudgetConstraint.from_shapes(spec.layer_shapes[:2], n_target=1500)
+        batch = X[:, :8]
+        teacher = fg.dense_forward(model.dense_weights, spec.nonlinearity, batch)
+        short = MuVector([4.0, 7.0], spec.caps()[:2], 1)
+        with pytest.raises(DimensionMismatch, match="2 mu values for 3 layers"):
+            fg.soft_forward(model.factors, spec.nonlinearity, batch, short.mu, cfg)
+        with pytest.raises(DimensionMismatch, match="2 mu values for 3 layers"):
+            grad_mu(model, teacher, batch, short, budget, 1.0, cfg)
+
     def test_nonfinite_raises(self):
         spec, model, X = small_model(seed=7)
         caps = spec.caps()
@@ -372,6 +384,117 @@ class TestOptimizeRanks:
         traj, _ = optimize_ranks(model, X, budget, FermiConfig(r_min=2), sched, opt)
         for pt in traj:
             assert pt.rho == rho_schedule(pt.iteration, sched)
+
+
+def reference_optimize(model, data, budget, cfg, sched, opt):
+    """optimize_ranks as a plain loop: every iteration slices its batch, runs
+    B_0 @ X, and takes A^T delta and B^T (F*w) with a transposed operand.
+    Returns the (mu, kl, n_param) rows, the ranks and the stop reason."""
+    act, act_deriv = fg.ACTIVATIONS[model.nonlinearity]
+    caps = np.array([f.rank for f in model.factors], dtype=np.int64)
+    mu = caps.astype(np.float64)
+    n_samples = data.shape[1]
+    bs = min(opt.batch_size, n_samples)
+    last = len(model.factors) - 1
+    log_ps, rows, stop = {}, [], "iteration_cap"
+    for t in range(opt.max_iters):
+        start = (t * bs) % n_samples
+        X = data[:, (start + np.arange(bs)) % n_samples]
+        if start not in log_ps:
+            log_ps[start] = fg._log_softmax(
+                fg.dense_forward(model.dense_weights, model.nonlinearity, X), axis=0)
+        log_p = log_ps[start]
+        p = np.exp(log_p)
+        h, cache = X, []
+        for l, f in enumerate(model.factors):
+            F = fermi_factors(mu[l], f.rank, cfg.T)
+            u = f.B @ h
+            z = f.A @ (F[:, None] * u)
+            cache.append((h, u, F))
+            h = act(z) if l < last else z
+        q = fg.softmax(z, axis=0)
+        kl = max(0.0, float(np.mean(np.sum(p * (log_p - np.log(np.maximum(q, fg.Q_FLOOR))),
+                                           axis=0))))
+        delta = (q - p) / bs
+        g = np.zeros(len(caps))
+        for l in range(last, -1, -1):
+            f = model.factors[l]
+            h_in, u, F = cache[l]
+            w = f.A.T @ delta
+            g[l] = np.sum(w * u, axis=1) @ (F * (1.0 - F) / (f.rank * cfg.T))
+            if l > 0:
+                delta = (f.B.T @ (F[:, None] * w)) * act_deriv(h_in)
+        rho = rho_schedule(t, sched)
+        g += fg.penalty_grad(MuVector(mu, caps, cfg.r_min), budget, rho)
+        new_mu = np.clip(mu - opt.step_size * g, cfg.r_min, caps)
+        step = float(np.max(np.abs(new_mu - mu)))
+        mu = new_mu
+        n_param = float(budget.count(mu))
+        rows.append((mu, kl, n_param))
+        if step < opt.mu_tol and fg.budget_violation(n_param, budget) < opt.constraint_tol:
+            stop = "converged"
+            break
+    return rows, round_and_repair(MuVector(mu, caps, cfg.r_min), budget).ranks, stop
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products it is the left operand of."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.view(np.ndarray) @ other
+
+
+class TestLoopEquivalence:
+    """optimize_ranks caches per batch start and uses row products in the
+    backward; its trajectory must match the plain loop above."""
+
+    @pytest.mark.parametrize("mode", ["linear", "parabolic"])
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "identity"])
+    def test_matches_reference_loop_row_by_row(self, nonlinearity, mode):
+        spec = tm.ToyModelSpec(layer_shapes=[(20, 28), (16, 20), (12, 16)],
+                               planted_ranks=[4, 6, 5], nonlinearity=nonlinearity, seed=21)
+        model = tm.build_teacher(spec)
+        tm.attach_data_aware_factors(model, tm.gen_calibration(spec, 256, seed=22))
+        data = tm.gen_calibration(spec, 200, seed=23)    # 200 = 12 batches of 16 + 8
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.6 * spec.dense_param_count()), mode=mode,
+            n_scale=1e5)
+        cfg = FermiConfig(T=0.02, r_min=2)
+        sched = RhoSchedule(rho0=1.0, alpha=1.05, rho_max=500.0)
+        opt = OptimizerConfig(step_size=2.0, max_iters=300, batch_size=16)
+        traj, alloc = optimize_ranks(model, data, budget, cfg, sched, opt)
+        rows, ranks, stop = reference_optimize(model, data, budget, cfg, sched, opt)
+        assert len(traj) == len(rows)
+        for pt, (mu, kl, n_param) in zip(traj, rows):
+            assert np.max(np.abs(pt.mu - mu) / np.abs(mu)) <= 1e-12
+            assert abs(pt.kl - kl) <= 1e-14
+        # the run moved mu off the caps, so the comparison covers the gates' slopes
+        assert np.any(traj[-1].mu < spec.caps() - 1.0)
+        assert np.array_equal(alloc.ranks, ranks)
+        assert alloc.stop_reason == stop
+
+    def test_teacher_and_first_layer_product_once_per_batch_start(self, monkeypatch):
+        spec, model, X = small_model(seed=13)
+        bs = 16
+        data = X[:, :4 * bs]                             # 4 distinct batch starts
+        teacher_runs = []
+
+        def counting_dense_forward(*args):
+            teacher_runs.append(1)
+            return fg.run(args[0], args[1], args[2])
+
+        monkeypatch.setattr(fg, "dense_forward", counting_dense_forward)
+        B0 = model.factors[0].B.view(CountingMatrix)
+        B0.products = 0
+        model.factors[0].B = B0
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e6)
+        opt = OptimizerConfig(step_size=0.5, max_iters=12, mu_tol=1e-300, batch_size=bs)
+        traj, _ = optimize_ranks(model, data, budget, FermiConfig(r_min=2), RhoSchedule(), opt)
+        assert len(traj) == 12                           # 3 epochs of 4 batches
+        assert len(teacher_runs) == 4
+        assert B0.products == 4
 
 
 class TestRoundAndRepair:
