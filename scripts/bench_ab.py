@@ -1,7 +1,7 @@
 """A/B the benchmark between two checkouts and write a BENCH_*.json file.
 
     python3 scripts/bench_ab.py --parent DIR --change DIR --workload desk-chain \
-        --seeds 1900-1909 --out BENCH_9.json [--set confirmation]
+        --seeds 1900-1909 --out BENCH_9.json [--note TEXT]
 
 For each seed, in order, one pair of runs of
 
@@ -11,9 +11,9 @@ is made, one from each checkout (each with its own src/, perfbench/ and
 BENCHMARK.json). Pairs alternate which side runs first: even pairs start
 with the parent. Each run's last output line is its result. If ``--out``
 already exists, the new runs are added to its runs and every summary is
-recomputed, so one file can hold several workloads and seed sets.
+recomputed, so one file can hold several workloads.
 
-A summary gives, per set and workload, each side's min, quartiles, median,
+A summary gives, per workload, each side's min, quartiles, median,
 max and IQR of every end-to-end metric, its failed operations, and the
 number of pairs in which the change was strictly better (the direction comes
 from the change's BENCHMARK.json).
@@ -64,37 +64,34 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per set and workload: pairs, seeds, per-side spreads and change wins per metric."""
+    """Per workload: pairs, seeds, per-side spreads and change wins per metric."""
     groups: dict = {}
     for r in runs:
-        pair = groups.setdefault(r["set"], {}).setdefault(r["workload"], {}) \
-            .setdefault(r["pair"], {})
-        pair[r["side"]] = r
+        groups.setdefault(r["workload"], {}).setdefault(r["pair"], {})[r["side"]] = r
     out: dict = {}
-    for set_name, workloads in groups.items():
-        for workload, pairs in workloads.items():
-            complete = [pairs[k] for k in sorted(pairs) if set(pairs[k]) == set(SIDES)]
-            metrics = sorted(complete[0]["change"]["result"]["metrics"]) if complete else []
-            sides = {}
-            for side in SIDES:
-                results = [p[side]["result"] for p in complete]
-                sides[side] = {
-                    "failed_ops": sum(res["failed"] for res in results),
-                    "metrics": {m: spread([res["metrics"][m]["value"] for res in results])
-                                for m in metrics},
-                }
-            wins = {}
-            for m in metrics:
-                sign = -1.0 if better.get(m, "lower") == "lower" else 1.0
-                wins[m] = sum(sign * (p["change"]["result"]["metrics"][m]["value"]
-                                      - p["parent"]["result"]["metrics"][m]["value"]) > 0
-                              for p in complete)
-            out.setdefault(set_name, {})[workload] = {
-                "pairs": len(complete),
-                "seeds": [p["parent"]["seed"] for p in complete],
-                "sides": sides,
-                "change_wins_pairs": wins,
+    for workload, pairs in groups.items():
+        complete = [pairs[k] for k in sorted(pairs) if set(pairs[k]) == set(SIDES)]
+        metrics = sorted(complete[0]["change"]["result"]["metrics"]) if complete else []
+        sides = {}
+        for side in SIDES:
+            results = [p[side]["result"] for p in complete]
+            sides[side] = {
+                "failed_ops": sum(res["failed"] for res in results),
+                "metrics": {m: spread([res["metrics"][m]["value"] for res in results])
+                            for m in metrics},
             }
+        wins = {}
+        for m in metrics:
+            sign = -1.0 if better.get(m, "lower") == "lower" else 1.0
+            wins[m] = sum(sign * (p["change"]["result"]["metrics"][m]["value"]
+                                  - p["parent"]["result"]["metrics"][m]["value"]) > 0
+                          for p in complete)
+        out[workload] = {
+            "pairs": len(complete),
+            "seeds": [p["parent"]["seed"] for p in complete],
+            "sides": sides,
+            "change_wins_pairs": wins,
+        }
     return out
 
 
@@ -107,10 +104,7 @@ def write_bench(path: Path, runs: list[dict], better: dict[str, str], base: dict
     doc["machine"] = {}
     for r in runs:
         doc["machine"].setdefault(r["workload"], r["machine"])
-    summaries = summarize(runs, better)
-    sets = doc.setdefault("sets", {})
-    for name, summary in summaries.items():
-        sets.setdefault(name, {})["summary"] = summary
+    doc["summary"] = summarize(runs, better)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return doc
 
@@ -122,8 +116,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--set", default="confirmation", help="name of this seed set")
-    p.add_argument("--note", help="what this seed set is, stored with its summary")
+    p.add_argument("--note", help="what the runs are, stored as the file's note")
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -131,16 +124,15 @@ def main(argv=None) -> int:
     base = json.loads(args.out.read_text()) if args.out.is_file() else {}
     runs = list(base.get("runs", []))
     if args.note:
-        base.setdefault("sets", {}).setdefault(args.set, {})["note"] = args.note
+        base["note"] = args.note
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    # pairs continue the numbering of earlier runs of the same set and workload
-    first = 1 + max((r["pair"] for r in runs
-                     if r["set"] == args.set and r["workload"] == args.workload), default=-1)
+    # pairs continue the numbering of earlier runs of the same workload
+    first = 1 + max((r["pair"] for r in runs if r["workload"] == args.workload), default=-1)
     for k, seed in enumerate(args.seeds, start=first):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
             run = run_once(trees[side], args.workload, seed)
-            runs.append({"set": args.set, "workload": args.workload, "pair": k,
-                         "seed": seed, "side": side, **run})
+            runs.append({"workload": args.workload, "pair": k, "seed": seed, "side": side,
+                         **run})
             m = run["result"]["metrics"]
             print(f"{args.workload} seed {seed} {side}: pipeline_s "
                   f"{m['pipeline_s']['value']:.3f} failed {run['result']['failed']}",

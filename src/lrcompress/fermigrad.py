@@ -18,7 +18,6 @@ greedily repaired to respect the budget exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -176,12 +175,8 @@ def fermi_factors(mu, n_cap: int, temperature: float) -> np.ndarray:
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return _gates(mu, np.arange(n_cap, dtype=np.float64), n_cap * temperature)
-
-
-def _gates(mu, j, width):
-    """Fermi gates at indices ``j`` for a transition ``width`` = N_l * T."""
-    return expit((mu - j) / width)
+    j = np.arange(n_cap, dtype=np.float64)
+    return expit((mu - j) / (n_cap * temperature))
 
 
 def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
@@ -253,7 +248,11 @@ def kl_divergence(teacher_logits, student_logits) -> float:
 
 
 def _teacher_terms(t: np.ndarray):
-    """(p, log p) of C-ordered teacher logits (samples x k), reusable across students."""
+    """(p, log p) of C-ordered teacher logits (samples x k), reusable across students.
+
+    log p is the log of p floored like the student's, and 0 where p underflows
+    to 0, as ``kl_divergence`` has always scored. The FermiGrad loop keeps
+    ``_teacher_probs`` instead so that its trajectories stay as they were."""
     p = softmax(t, axis=1)
     return p, np.where(p > 0, np.log(np.maximum(p, Q_FLOOR)), 0.0)
 
@@ -301,45 +300,28 @@ def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarr
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
     """
     X = as_matrix(X, "X")
-    mu = np.asarray(mu, dtype=np.float64)
-    plan = _plan(layers, mu, cfg)
-    logits, _ = _soft_forward_cached(plan, nonlinearity, plan[0].B @ X, mu)
+    logits, _ = _soft_forward_cached(layers, nonlinearity, layers[0].B @ X, mu, cfg)
     return logits
 
 
-class _PlanLayer(NamedTuple):
-    """A frozen factor pair as the FermiGrad loop applies it, with its gate
-    indices j = 0 .. N_l - 1 and gate width N_l * T."""
-
-    A: np.ndarray
-    B: np.ndarray
-    j: np.ndarray
-    width: float
-
-
-def _plan(layers, mu, cfg: FermiConfig) -> list[_PlanLayer]:
-    """The per-run plan of full-rank factor pairs, after checking one mu per layer."""
-    if len(mu) != len(layers):
-        raise DimensionMismatch(f"{len(mu)} mu values for {len(layers)} layers")
-    return [_PlanLayer(f.A, f.B, np.arange(f.rank, dtype=np.float64), f.rank * cfg.T)
-            for f in layers]
-
-
-def _soft_forward_cached(plan, nonlinearity, u0, mu):
+def _soft_forward_cached(layers, nonlinearity, u0, mu, cfg):
     """Soft logits, and each layer's (input, B @ input, gates) for the backward.
 
     ``u0`` is B_0 @ X: the network input enters only through that product,
     so layer 0's input is recorded as None.
     """
     act, _ = ACTIVATIONS[nonlinearity]
-    last = len(plan) - 1
+    mu = np.asarray(mu, dtype=np.float64)
+    if len(mu) != len(layers):
+        raise DimensionMismatch(f"{len(mu)} mu values for {len(layers)} layers")
+    last = len(layers) - 1
     cache = []
     h, u = None, u0
-    for l, layer in enumerate(plan):
+    for l, f in enumerate(layers):
         if l:
-            u = layer.B @ h
-        F = _gates(mu[l], layer.j, layer.width)
-        z = layer.A @ (F[:, None] * u)
+            u = f.B @ h
+        F = fermi_factors(mu[l], f.rank, cfg.T)
+        z = f.A @ (F[:, None] * u)
         cache.append((h, u, F))
         h = act(z) if l < last else z
     return z, cache
@@ -355,36 +337,39 @@ def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
 
 
 def _teacher_probs(logits: np.ndarray):
-    """(log p, p) of column-major teacher logits (classes x batch)."""
+    """(p, log p) of column-major teacher logits (classes x batch), in the
+    order of ``_teacher_terms``. Here log p is the log-softmax itself, not the
+    log of a floored p: the FermiGrad loss has always used it, and switching
+    to ``_teacher_terms`` would move its trajectories in the last bits."""
     log_p = _log_softmax(logits, axis=0)
-    return log_p, np.exp(log_p)
+    return np.exp(log_p), log_p
 
 
-def _loss_grad(plan, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetConstraint,
-               rho: float):
+def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetConstraint,
+               rho: float, cfg: FermiConfig):
     """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
     ``teacher`` is the ``_teacher_probs`` of the batch and ``u0`` is B_0 @ batch."""
     _, act_deriv = ACTIVATIONS[nonlinearity]
-    log_p, p = teacher
-    logits, cache = _soft_forward_cached(plan, nonlinearity, u0, mu.mu)
+    p, log_p = teacher
+    logits, cache = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
     q = softmax(logits, axis=0)
     # the same student floor as kl_divergence; the max guards round-off at q == p
     per_sample = np.sum(p * (log_p - np.log(np.maximum(q, Q_FLOOR))), axis=0)
     kl = max(0.0, float(np.mean(per_sample)))
     delta = (q - p) / logits.shape[1]            # dKL/dlogits
-    g = np.zeros(len(plan))
-    for l in range(len(plan) - 1, -1, -1):
-        A, B, _, width = plan[l]
+    g = np.zeros(len(layers))
+    for l in range(len(layers) - 1, -1, -1):
+        f = layers[l]
         h_in, u, F = cache[l]
         # A^T delta and B^T (F*w) as the row products (delta^T A)^T and
         # ((F*w)^T B)^T: no operand is transposed, and at 1024^2 x 32 BLAS runs
         # them ~1.5x faster (at 64^2 the two forms cost about the same).
-        w = (delta.T @ A).T                      # dKL/d(F*u)
+        w = (delta.T @ f.A).T                    # dKL/d(F*u)
         g_F = np.sum(w * u, axis=1)              # dKL/dF_j
-        g[l] = g_F @ (F * (1.0 - F) / width)     # dF_j/dmu
+        g[l] = g_F @ (F * (1.0 - F) / (f.rank * cfg.T))   # dF_j/dmu
         if l > 0:
             # h_in is the activated output of layer l-1: chain through it.
-            dh = ((F[:, None] * w).T @ B).T
+            dh = ((F[:, None] * w).T @ f.B).T
             delta = dh * act_deriv(h_in)
     g += penalty_grad(mu, budget, rho)
     if not np.isfinite(g).all():
@@ -401,10 +386,9 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
     (out_dim x batch, n_0 x batch), matching the forward passes.
     """
     teacher = _teacher_probs(as_matrix(teacher_logits))
-    batch = as_matrix(batch)
-    plan = _plan(student.factors, mu.mu, cfg)
-    return _loss_grad(plan, student.nonlinearity, teacher, plan[0].B @ batch,
-                      mu, budget, rho)[1]
+    layers = student.factors
+    return _loss_grad(layers, student.nonlinearity, teacher, layers[0].B @ as_matrix(batch),
+                      mu, budget, rho, cfg)[1]
 
 
 def _check_feasible(mu: MuVector, budget: BudgetConstraint):
@@ -443,10 +427,9 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     mu = MuVector(caps.astype(np.float64), caps, fermi_cfg.r_min)
     _check_feasible(mu, budget)
 
-    plan = _plan(model.factors, mu.mu, fermi_cfg)
     n_samples = data.shape[1]
     bs = min(opt_cfg.batch_size, n_samples)
-    # per batch start: the teacher's (log p, p) and B_0 @ batch, which no
+    # per batch start: the teacher's (p, log p) and B_0 @ batch, which no
     # iteration on that batch changes
     batches: dict[int, tuple] = {}
     trajectory: list[TrajectoryPoint] = []
@@ -457,11 +440,12 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
         if start not in batches:
             batch = data[:, (start + np.arange(bs)) % n_samples]
             logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-            batches[start] = (_teacher_probs(logits), plan[0].B @ batch)
+            batches[start] = (_teacher_probs(logits), model.factors[0].B @ batch)
         teacher, u0 = batches[start]
 
         rho = rho_schedule(t, sched)
-        kl, g = _loss_grad(plan, model.nonlinearity, teacher, u0, mu, budget, rho)
+        kl, g = _loss_grad(model.factors, model.nonlinearity, teacher, u0, mu, budget, rho,
+                           fermi_cfg)
         new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
         step_inf = float(np.max(np.abs(new_mu - mu.mu)))
         mu.mu = new_mu

@@ -297,6 +297,19 @@ def teacher_terms(model: ToyModel, data):
     return fermigrad._teacher_terms(as_matrix(teacher.T))
 
 
+def _checked_terms(model: ToyModel, data: np.ndarray, terms):
+    """``terms`` after checking it has one row per sample of ``data``, or the
+    ``teacher_terms`` of ``data`` when None. Terms of other data with the same
+    sample count cannot be told apart here and score wrongly."""
+    if terms is None:
+        return teacher_terms(model, data)
+    expected = (data.shape[1], model.spec.output_dim)
+    shapes = [np.shape(t) for t in terms]
+    if shapes != [expected, expected]:
+        raise DimensionMismatch(f"teacher terms of shapes {shapes}, data needs 2 x {expected}")
+    return terms
+
+
 def evaluate_allocation(model: ToyModel, data, ranks, terms=None) -> AllocationReport:
     """KL against the dense teacher plus parameter counts and layer residuals.
 
@@ -307,8 +320,7 @@ def evaluate_allocation(model: ToyModel, data, ranks, terms=None) -> AllocationR
     caps = model.spec.caps()
     if np.any(ranks < 1) or np.any(ranks > caps):
         raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
-    if terms is None:
-        terms = teacher_terms(model, data)
+    terms = _checked_terms(model, data, terms)
     student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
     kl = fermigrad._kl_against(terms, as_matrix(student.T))
     shapes = model.spec.layer_shapes
@@ -356,8 +368,7 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     if total == 0:
         raise InfeasibleBudget(f"no grid point satisfies the budget {budget.n_target}")
     act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    if terms is None:
-        terms = teacher_terms(model, data)
+    terms = _checked_terms(model, data, terms)
     floor = np.array([g[0] for g in grids], dtype=np.int64)
     ranks = floor.copy()
     last = len(grids) - 1

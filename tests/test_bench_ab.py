@@ -18,10 +18,9 @@ def bench_ab():
     return module
 
 
-def record(pair, side, seed, pipeline_s, failed=0, set_name="confirmation",
-           workload="fixture1024-chain"):
+def record(pair, side, seed, pipeline_s, failed=0, workload="fixture1024-chain"):
     metrics = {"pipeline_s": pipeline_s, "ok_ratio": 1.0, "stored_bytes": 1000.0}
-    return {"set": set_name, "workload": workload, "pair": pair, "seed": seed, "side": side,
+    return {"workload": workload, "pair": pair, "seed": seed, "side": side,
             "machine": {"nproc": 2},
             "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
                        "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}}
@@ -54,7 +53,7 @@ def test_spread_uses_inclusive_quartiles(bench_ab):
 
 
 def test_summary_counts_complete_pairs_and_wins(bench_ab):
-    summary = bench_ab.summarize(canned(), BETTER)["confirmation"]["fixture1024-chain"]
+    summary = bench_ab.summarize(canned(), BETTER)["fixture1024-chain"]
     assert summary["pairs"] == 4
     assert summary["seeds"] == [100, 101, 102, 103]
     parent, change = summary["sides"]["parent"], summary["sides"]["change"]
@@ -71,22 +70,20 @@ def test_higher_is_better_metrics_win_upward(bench_ab):
     runs = [record(0, "parent", 1, 5.0), record(0, "change", 1, 5.0)]
     runs[1]["result"]["metrics"]["ok_ratio"]["value"] = 1.0
     runs[0]["result"]["metrics"]["ok_ratio"]["value"] = 0.5
-    wins = bench_ab.summarize(runs, BETTER)["confirmation"]["fixture1024-chain"][
-        "change_wins_pairs"]
+    wins = bench_ab.summarize(runs, BETTER)["fixture1024-chain"]["change_wins_pairs"]
     assert wins["ok_ratio"] == 1 and wins["pipeline_s"] == 0
 
 
-def test_write_bench_keeps_sets_and_other_keys(bench_ab, tmp_path):
+def test_write_bench_summarizes_each_workload_and_keeps_other_keys(bench_ab, tmp_path):
     out = tmp_path / "BENCH.json"
-    runs = canned() + [record(0, "parent", 5, 2.0, set_name="first", workload="desk-chain"),
-                       record(0, "change", 5, 1.0, set_name="first", workload="desk-chain")]
-    base = {"change": "what changed", "sets": {"first": {"note": "build seeds"}}}
+    runs = canned() + [record(0, "parent", 5, 2.0, workload="desk-chain"),
+                       record(0, "change", 5, 1.0, workload="desk-chain")]
+    base = {"change": "what changed", "note": "confirmation seeds"}
     bench_ab.write_bench(out, runs, BETTER, base)
     doc = json.loads(out.read_text())
-    assert doc["change"] == "what changed"
-    assert doc["sets"]["first"]["note"] == "build seeds"
-    assert set(doc["sets"]) == {"first", "confirmation"}
-    assert doc["sets"]["first"]["summary"]["desk-chain"]["change_wins_pairs"]["pipeline_s"] == 1
+    assert doc["change"] == "what changed" and doc["note"] == "confirmation seeds"
+    assert set(doc["summary"]) == {"fixture1024-chain", "desk-chain"}
+    assert doc["summary"]["desk-chain"]["change_wins_pairs"]["pipeline_s"] == 1
     assert set(doc["machine"]) == {"fixture1024-chain", "desk-chain"}
     assert len(doc["runs"]) == len(runs)
     assert doc["command"] == bench_ab.COMMAND and doc["protocol"] == bench_ab.PROTOCOL

@@ -195,6 +195,26 @@ class TestEvaluateAllocation:
         s = fg.hard_forward(model.factors, model.nonlinearity, Xe, ranks)
         assert rep.kl == kl_divergence(t.T, s.T)
 
+    def test_given_teacher_terms_score_as_computed_ones(self, default_model):
+        spec, model, X = default_model
+        Xe = X[:, :48]
+        ranks = np.array([6, 10, 14, 30])
+        terms = tm.teacher_terms(model, Xe)
+        assert evaluate_allocation(model, Xe, ranks, terms).kl == \
+            evaluate_allocation(model, Xe, ranks).kl
+
+    @pytest.mark.parametrize("n_terms", [47, 1])
+    def test_teacher_terms_of_other_sample_count_refused(self, default_model, n_terms):
+        # one sample would broadcast silently against the 48-sample student
+        spec, model, X = default_model
+        terms = tm.teacher_terms(model, X[:, :n_terms])
+        with pytest.raises(DimensionMismatch, match="teacher terms"):
+            evaluate_allocation(model, X[:, :48], spec.caps(), terms)
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), mode="linear")
+        with pytest.raises(DimensionMismatch, match="teacher terms"):
+            brute_force_rank_search(model, X[:, :48], budget, grid_step=16, terms=terms)
+
     def test_param_counts_match_formulas(self, default_model):
         spec, model, _ = default_model
         ranks = np.array([6, 10, 14, 30])
