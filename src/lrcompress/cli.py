@@ -24,6 +24,7 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +42,8 @@ EXIT_NUMERIC = 5
 
 _EPILOG = """exit codes:
   0  success
-  2  usage error (unknown, missing or malformed flags, or a flag value out of range)
+  2  usage error (unknown, missing or malformed flags, a flag value out of range,
+     or an --out directory that is an input directory)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
      a calibration package made for another teacher or without factors)
@@ -91,6 +93,15 @@ def _read_ranks(path: str, caps: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _check_out_dir(args, *inputs) -> None:
+    """Refuse an --out directory that is one of the input package directories
+    named by the flags ``inputs``: writing there would replace its manifest."""
+    out = Path(args.out).resolve()
+    for flag in inputs:
+        if Path(getattr(args, flag)).resolve() == out:
+            raise ValueError(f"--out {args.out} is the --{flag} directory")
+
+
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
                       n_scale: float = fg.BudgetConstraint.n_scale) -> fg.BudgetConstraint:
     if args.target_params is not None:
@@ -117,6 +128,7 @@ def cmd_gen_teacher(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_out_dir(args, "model")
     model = mio.load_model_package(args.model).to_toy_model()
     X = tm.gen_calibration(model.spec, args.samples, args.seed)
     mats = tm.layer_calibration_matrices(model, X)
@@ -130,6 +142,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compress(args) -> int:
     t0 = time.perf_counter()
+    _check_out_dir(args, "model", "calib")
     model = _load_factored(args)
     caps = model.spec.caps()
     if args.ranks is not None:

@@ -240,30 +240,32 @@ def kl_divergence(teacher_logits, student_logits) -> float:
     softmaxed at temperature 1. The student probabilities are floored at
     1e-30 before the log.
     """
-    t = as_matrix(teacher_logits, "teacher_logits")
-    s = as_matrix(student_logits, "student_logits")
+    # the one transpose into the classes x samples layout of every forward
+    t = as_matrix(np.transpose(teacher_logits), "teacher_logits")
+    s = as_matrix(np.transpose(student_logits), "student_logits")
     if t.shape != s.shape:
-        raise DimensionMismatch(f"logit shapes differ: {t.shape} vs {s.shape}")
+        raise DimensionMismatch(f"logit shapes differ: {t.T.shape} vs {s.T.shape}")
     return _kl_against(_teacher_terms(t), s)
 
 
-def _teacher_terms(t: np.ndarray):
-    """(p, log p) of C-ordered teacher logits (samples x k), reusable across students.
-
-    log p is the log of p floored like the student's, and 0 where p underflows
-    to 0, as ``kl_divergence`` has always scored. The FermiGrad loop keeps
-    ``_teacher_probs`` instead so that its trajectories stay as they were."""
-    p = softmax(t, axis=1)
-    return p, np.where(p > 0, np.log(np.maximum(p, Q_FLOOR)), 0.0)
+def _teacher_terms(logits: np.ndarray):
+    """(p, log p) of teacher logits (classes x samples), reusable across students."""
+    log_p = _log_softmax(logits, axis=0)
+    return np.exp(log_p), log_p
 
 
-def _kl_against(terms, s: np.ndarray) -> float:
-    """Mean KL of C-ordered student logits ``s`` against ``_teacher_terms`` output."""
+def _kl_of(terms, q: np.ndarray) -> float:
+    """Mean KL of student probabilities ``q`` (classes x samples) against
+    ``_teacher_terms`` output, with q floored at Q_FLOOR before the log."""
     p, log_p = terms
-    log_q = np.log(np.maximum(softmax(s, axis=1), Q_FLOOR))
-    per_sample = np.sum(p * (log_p - log_q), axis=1)
+    per_sample = np.sum(p * (log_p - np.log(np.maximum(q, Q_FLOOR))), axis=0)
     # mathematically >= 0; the max guards round-off at q == p
     return max(0.0, float(np.mean(per_sample)))
+
+
+def _kl_against(terms, logits: np.ndarray) -> float:
+    """Mean KL of student logits (classes x samples) against ``_teacher_terms`` output."""
+    return _kl_of(terms, softmax(logits, axis=0))
 
 
 def layer_inputs(layers, nonlinearity: str, X):
@@ -336,27 +338,15 @@ def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
     return run([f.truncated(int(r)) for f, r in zip(layers, ranks)], nonlinearity, X)
 
 
-def _teacher_probs(logits: np.ndarray):
-    """(p, log p) of column-major teacher logits (classes x batch), in the
-    order of ``_teacher_terms``. Here log p is the log-softmax itself, not the
-    log of a floored p: the FermiGrad loss has always used it, and switching
-    to ``_teacher_terms`` would move its trajectories in the last bits."""
-    log_p = _log_softmax(logits, axis=0)
-    return np.exp(log_p), log_p
-
-
 def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetConstraint,
                rho: float, cfg: FermiConfig):
     """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
-    ``teacher`` is the ``_teacher_probs`` of the batch and ``u0`` is B_0 @ batch."""
+    ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch."""
     _, act_deriv = ACTIVATIONS[nonlinearity]
-    p, log_p = teacher
     logits, cache = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
     q = softmax(logits, axis=0)
-    # the same student floor as kl_divergence; the max guards round-off at q == p
-    per_sample = np.sum(p * (log_p - np.log(np.maximum(q, Q_FLOOR))), axis=0)
-    kl = max(0.0, float(np.mean(per_sample)))
-    delta = (q - p) / logits.shape[1]            # dKL/dlogits
+    kl = _kl_of(teacher, q)
+    delta = (q - teacher[0]) / logits.shape[1]   # dKL/dlogits
     g = np.zeros(len(layers))
     for l in range(len(layers) - 1, -1, -1):
         f = layers[l]
@@ -385,7 +375,7 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
     ``nonlinearity``; ``teacher_logits`` and ``batch`` are column-major
     (out_dim x batch, n_0 x batch), matching the forward passes.
     """
-    teacher = _teacher_probs(as_matrix(teacher_logits))
+    teacher = _teacher_terms(as_matrix(teacher_logits))
     layers = student.factors
     return _loss_grad(layers, student.nonlinearity, teacher, layers[0].B @ as_matrix(batch),
                       mu, budget, rho, cfg)[1]
@@ -440,7 +430,7 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
         if start not in batches:
             batch = data[:, (start + np.arange(bs)) % n_samples]
             logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-            batches[start] = (_teacher_probs(logits), model.factors[0].B @ batch)
+            batches[start] = (_teacher_terms(logits), model.factors[0].B @ batch)
         teacher, u0 = batches[start]
 
         rho = rho_schedule(t, sched)

@@ -120,6 +120,7 @@ _KINDS = {
     "str": lambda v: isinstance(v, str),
     "int": _is_int,
     "int or null": lambda v: v is None or _is_int(v),
+    "non-negative int": lambda v: _is_int(v) and v >= 0,
     "number": _is_number,
     "number or number list": lambda v: _is_number(v) or (
         isinstance(v, list) and all(map(_is_number, v))),
@@ -189,6 +190,11 @@ class LoadedPackage:
             raise PackageFormatError("package has no model spec")
         if any(l.kind != "dense" for l in self.layers):
             raise PackageFormatError("package is not a dense teacher package")
+        shapes = [l.shape for l in self.layers]
+        if shapes != self.spec.layer_shapes:
+            raise PackageFormatError(
+                f"weight shapes {shapes} disagree with spec layer_shapes {self.spec.layer_shapes}"
+            )
         return ToyModel(spec=self.spec, dense_weights=[l.payload for l in self.layers],
                         n_inc=self.n_inc)
 
@@ -243,7 +249,7 @@ def load_model_package(in_dir) -> LoadedPackage:
     path = src / "manifest.json"
     manifest = _read_manifest(path, MODEL_FORMAT)
     manifest.setdefault("n_inc", 0)
-    check_fields(manifest, path, n_inc="int")
+    check_fields(manifest, path, n_inc="non-negative int")
     if not manifest["layers"]:
         raise PackageFormatError(f"{path}: model has no layers")
     spec = None

@@ -79,8 +79,8 @@ class ToyModelSpec:
             raise ValueError(f"signal_gain must be positive and finite, got {self.signal_gain}")
         if not 0 <= self.noise_floor < np.inf:
             raise ValueError(f"noise_floor must be non-negative and finite, got {self.noise_floor}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
 
     @property
     def input_dim(self) -> int:
@@ -291,19 +291,19 @@ class AllocationReport:
 
 
 def teacher_terms(model: ToyModel, data):
-    """The dense teacher's output probabilities and their logs on ``data``
-    (columns are samples), reusable by every student scored on that data."""
+    """The dense teacher's output probabilities and their logs on ``data``,
+    classes x samples, reusable by every student scored on that data."""
     teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
-    return fermigrad._teacher_terms(as_matrix(teacher.T))
+    return fermigrad._teacher_terms(teacher)
 
 
 def _checked_terms(model: ToyModel, data: np.ndarray, terms):
-    """``terms`` after checking it has one row per sample of ``data``, or the
+    """``terms`` after checking it has one column per sample of ``data``, or the
     ``teacher_terms`` of ``data`` when None. Terms of other data with the same
     sample count cannot be told apart here and score wrongly."""
     if terms is None:
         return teacher_terms(model, data)
-    expected = (data.shape[1], model.spec.output_dim)
+    expected = (model.spec.output_dim, data.shape[1])
     shapes = [np.shape(t) for t in terms]
     if shapes != [expected, expected]:
         raise DimensionMismatch(f"teacher terms of shapes {shapes}, data needs 2 x {expected}")
@@ -322,7 +322,7 @@ def evaluate_allocation(model: ToyModel, data, ranks, terms=None) -> AllocationR
         raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
     terms = _checked_terms(model, data, terms)
     student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
-    kl = fermigrad._kl_against(terms, as_matrix(student.T))
+    kl = fermigrad._kl_against(terms, student)
     shapes = model.spec.layer_shapes
     lin = sum(pivga.param_count(m, n, int(r), "linear").decomposed
               for (m, n), r in zip(shapes, ranks)) + model.n_inc
@@ -387,7 +387,7 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
             if l < last:
                 walk(l + 1, act(out))
                 continue
-            kl = fermigrad._kl_against(terms, as_matrix(out.T))
+            kl = fermigrad._kl_against(terms, out)
             if kl < best_kl:
                 best_kl = kl
                 best = RankAllocation(ranks=ranks.copy(), achieved_params=achieved,

@@ -393,11 +393,20 @@ class TestMalformedInput:
 
     def test_negative_seed_flag_with_spec_is_usage_error(self, pipeline, tmp_path, capsys):
         root, _, _ = pipeline
-        code = run(["gen-teacher", "--spec", str(root / "spec.json"), "--seed", "-1",
-                    "--out", str(tmp_path / "t")])
+        for seed in ("-1", "18446744073709551616"):
+            code = run(["gen-teacher", "--spec", str(root / "spec.json"), "--seed", seed,
+                        "--out", str(tmp_path / "t")])
+            assert code == EXIT_USAGE
+            err = _one_error_line(capsys)
+            assert err["error"] == "ValueError" and "seed" in err["message"]
+
+    @pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "18446744073709551616"])
+    def test_seed_flag_outside_int64_is_usage_error(self, tmp_path, capsys, seed):
+        code = run(["gen-teacher", "--seed", seed, "--out", str(tmp_path / "t")])
         assert code == EXIT_USAGE
         err = _one_error_line(capsys)
         assert err["error"] == "ValueError" and "seed" in err["message"]
+        assert not (tmp_path / "t").exists()
 
     def test_spec_list_with_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -448,6 +457,78 @@ class TestMalformedInput:
         assert err["error"] == "PackageFormatError"
         assert err["message"] == f"bad.json: layer 0 rank {rank} outside [1, 16]"
         assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
+
+
+def _files(root) -> dict:
+    """Every file under ``root`` with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestTeacherManifest:
+    """A teacher package that disagrees with itself is refused by every command."""
+
+    def _argvs(self, teacher, calib, tmp_path, n_layers):
+        (tmp_path / "ranks.json").write_text(json.dumps([8] * n_layers))
+        common = ["--model", str(teacher), "--calib", str(calib)]
+        return {
+            "calibrate": ["calibrate", "--model", str(teacher), "--samples", "64",
+                          "--out", str(tmp_path / "c")],
+            "compress": ["compress", *common, "--ranks", str(tmp_path / "ranks.json"),
+                         "--out", str(tmp_path / "s")],
+            "fermigrad": ["fermigrad", *common, "--target-ratio", "0.6", "--r-min", "2",
+                          "--iters", "5", "--out-ranks", str(tmp_path / "r.json")],
+        }
+
+    @pytest.mark.parametrize("spec_edit", [
+        {"layer_shapes": [[16, 16]], "planted_ranks": [3]},
+        {"layer_shapes": [[16, 12], [12, 16]], "output_dim": 12},
+    ], ids=["fewer-layers", "other-shapes"])
+    def test_spec_disagreeing_with_weights_is_format_error(self, pipeline, tmp_path, capsys,
+                                                            spec_edit):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "teacher"
+        shutil.copytree(teacher, bad)
+        _edit_manifest(bad, lambda m: m["spec"].update(spec_edit))
+        argvs = self._argvs(bad, calib, tmp_path, len(spec_edit["layer_shapes"]))
+        before = _files(tmp_path)
+        for cmd, argv in argvs.items():
+            assert run(argv) == EXIT_FORMAT, cmd
+            err = _one_error_line(capsys)
+            assert err["error"] == "PackageFormatError" and "disagree" in err["message"], cmd
+        assert _files(tmp_path) == before
+
+    def test_negative_n_inc_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "teacher"
+        shutil.copytree(teacher, bad)
+        _edit_manifest(bad, lambda m: m.update(n_inc=-16000))
+        argvs = self._argvs(bad, calib, tmp_path, 2)
+        before = _files(tmp_path)
+        for cmd, argv in argvs.items():
+            assert run(argv) == EXIT_FORMAT, cmd
+            err = _one_error_line(capsys)
+            assert err["error"] == "PackageFormatError" and "'n_inc'" in err["message"], cmd
+        assert _files(tmp_path) == before
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("cmd, out", [("calibrate", "teacher"), ("compress", "teacher"),
+                                          ("compress", "calib")])
+    def test_out_that_is_an_input_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                 monkeypatch, cmd, out):
+        _, teacher, calib = pipeline
+        shutil.copytree(teacher, tmp_path / "teacher")
+        shutil.copytree(calib, tmp_path / "calib")
+        monkeypatch.chdir(tmp_path)
+        inputs = ["--model", str(tmp_path / "teacher")]
+        if cmd == "compress":
+            inputs += ["--calib", str(tmp_path / "calib"), "--uniform", "0.5"]
+        before = _files(tmp_path)
+        # the inputs are given as absolute paths, --out as a relative one
+        assert run([cmd, *inputs, "--out", f"./{out}"]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and "--out" in err["message"]
+        assert _files(tmp_path) == before
 
 
 class TestNonFiniteFlags:
