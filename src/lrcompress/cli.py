@@ -11,7 +11,8 @@ Subcommands:
                   and the brute-force oracle)
 
 Every random choice is controlled by an explicit --seed, so reruns with the
-same flags are byte-identical (reports differ only in the wall-time field).
+same flags are byte-identical (reports differ only in the wall-time and
+stage-time fields).
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 file-format error,
 5 numerical/domain error. Failures print a single JSON line to stderr.
@@ -43,7 +44,8 @@ EXIT_NUMERIC = 5
 _EPILOG = """exit codes:
   0  success
   2  usage error (unknown, missing or malformed flags, a flag value out of range,
-     or an --out directory that is an input directory)
+     or an output path that is, or lies inside, an input package directory or
+     another output)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
      a calibration package made for another teacher or without factors)
@@ -93,13 +95,23 @@ def _read_ranks(path: str, caps: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _check_out_dir(args, *inputs) -> None:
-    """Refuse an --out directory that is one of the input package directories
-    named by the flags ``inputs``: writing there would replace its manifest."""
-    out = Path(args.out).resolve()
-    for flag in inputs:
-        if Path(getattr(args, flag)).resolve() == out:
-            raise ValueError(f"--out {args.out} is the --{flag} directory")
+def _check_outputs(args, outputs, inputs) -> None:
+    """Refuse an output path (flags ``outputs``, unset ones skipped) that is, or
+    lies inside, an input package directory (flags ``inputs``) or an output
+    named before it: writing there would replace or add files of that package,
+    such as its manifest, or overwrite the other output."""
+    taken = {flag: (Path(getattr(args, flag)).resolve(), "directory") for flag in inputs}
+    for out_flag in outputs:
+        given = getattr(args, out_flag)
+        if given is None:
+            continue
+        out = Path(given).resolve()
+        for flag, (path, kind) in taken.items():
+            if out == path or path in out.parents:
+                where = "is" if out == path else "lies inside"
+                raise ValueError(f"--{out_flag.replace('_', '-')} {given} {where} the "
+                                 f"--{flag.replace('_', '-')} {kind}")
+        taken[out_flag] = (out, "output")
 
 
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
@@ -128,7 +140,7 @@ def cmd_gen_teacher(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _check_out_dir(args, "model")
+    _check_outputs(args, ["out"], ["model"])
     model = mio.load_model_package(args.model).to_toy_model()
     X = tm.gen_calibration(model.spec, args.samples, args.seed)
     mats = tm.layer_calibration_matrices(model, X)
@@ -142,7 +154,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compress(args) -> int:
     t0 = time.perf_counter()
-    _check_out_dir(args, "model", "calib")
+    timings = _StageTimer()
+    _check_outputs(args, ["out", "report"], ["model", "calib"])
     model = _load_factored(args)
     caps = model.spec.caps()
     if args.ranks is not None:
@@ -153,15 +166,19 @@ def cmd_compress(args) -> int:
         ranks = np.clip(np.floor(args.uniform * caps).astype(np.int64), 1, caps)
     else:
         raise ValueError("one of --ranks / --uniform is required")
+    timings.lap("load")
 
     layers = [f.truncated(int(r)) for f, r in zip(model.factors, ranks)]
     if args.pivga:
         layers = [pivga.pivga_factorize(g) for g in layers]
-    mio.save_model_package(args.out, model.spec, layers, n_inc=model.n_inc)
-
     mode = "parabolic" if args.pivga else "linear"
     counts = [pivga.param_count(m, n, int(r), mode)
               for (m, n), r in zip(model.spec.layer_shapes, ranks)]
+    residuals = tm.layer_residuals(model, ranks)
+    timings.lap("factorize")
+    mio.save_model_package(args.out, model.spec, layers, n_inc=model.n_inc)
+    timings.lap("write")
+
     report = {
         "command": "compress",
         "config": {"model": args.model, "calib": args.calib, "pivga": bool(args.pivga),
@@ -170,9 +187,10 @@ def cmd_compress(args) -> int:
         "stored_params": sum(c.decomposed for c in counts) + model.n_inc,
         "permutation_indices": sum(c.permutation_indices for c in counts),
         "dense_params": model.spec.dense_param_count(model.n_inc),
-        "per_layer_residual": [float(x) for x in tm.layer_residuals(model, ranks)],
+        "per_layer_residual": [float(x) for x in residuals],
         "pivga_cond_b0": [pf.cond_b0 for pf in layers] if args.pivga else None,
         "out": args.out,
+        "timings_s": timings.stages,
         "wall_time_s": time.perf_counter() - t0,
     }
     if args.report:
@@ -185,6 +203,7 @@ def cmd_compress(args) -> int:
 def cmd_fermigrad(args) -> int:
     t0 = time.perf_counter()
     timings = _StageTimer()
+    _check_outputs(args, ["out_ranks", "report", "trajectory"], ["model", "calib"])
     model = _load_factored(args)
     budget = _budget_from_args(args, model.spec, model.n_inc, args.n_scale)
     cfg = fg.FermiConfig(T=args.T, r_min=args.r_min)
@@ -241,6 +260,8 @@ def cmd_fermigrad(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
+    timings = _StageTimer()
+    _check_outputs(args, ["out"], ["model", "calib"])
     model = _load_factored(args)
     data = tm.gen_calibration(model.spec, args.samples, args.seed)
 
@@ -250,6 +271,7 @@ def cmd_compare(args) -> int:
         if not path:
             label, path = item, item
         entries.append((label, _read_ranks(path, model.spec.caps())))
+    timings.lap("load")
 
     terms = tm.teacher_terms(model, data)
     budget = None
@@ -272,12 +294,14 @@ def cmd_compare(args) -> int:
     for label, ranks in entries:
         rep = tm.evaluate_allocation(model, data, ranks, terms)
         rows.append({"label": label, **rep.to_dict()})
+    timings.lap("evaluate")
     report = {
         "command": "compare",
         "config": {"model": args.model, "calib": args.calib, "samples": args.samples,
                    "seed": args.seed, "mode": args.mode,
                    "target_params": budget.n_target if budget else None},
         "allocations": rows,
+        "timings_s": timings.stages,
         "wall_time_s": time.perf_counter() - t0,
     }
     if args.out:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConvergenceFailure,
@@ -33,6 +32,9 @@ from .svdcompress import LowRankFactors
 
 # Probability floor applied to the student distribution before the log.
 Q_FLOOR = 1e-30
+
+# Largest float64 whose exp is finite; exp of the next float up is inf.
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))
 
 # activation -> (forward, derivative as a function of the activated output)
 ACTIVATIONS = {
@@ -167,16 +169,36 @@ class TrajectoryPoint:
     n_param: float
 
 
-def fermi_factors(mu, n_cap: int, temperature: float) -> np.ndarray:
+def fermi_factors(mu, n_cap, temperature: float) -> np.ndarray:
     """Logistic soft-truncation gates F_j = 1/(1 + exp((j - mu)/(n_cap*T))).
 
     F crosses 0.5 exactly at j = mu and transitions over a width of about
     n_cap * temperature index units. Overflow saturates to exactly 0 or 1.
+
+    A scalar ``mu`` and ``n_cap`` give the n_cap gates of one layer. Vectors
+    of equal length give one row per layer, padded with zeros to the largest
+    cap; row l up to its cap equals the scalar call for (mu[l], n_cap[l]).
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    j = np.arange(n_cap, dtype=np.float64)
-    return expit((mu - j) / (n_cap * temperature))
+    mu = np.asarray(mu, dtype=np.float64)
+    # float caps give the products int * float gives, without a cast per call
+    caps = np.asarray(n_cap, dtype=np.float64)
+    if mu.ndim > 1 or mu.shape != caps.shape:
+        raise DimensionMismatch(f"mu shape {mu.shape} and cap shape {caps.shape} differ")
+    # Python max/min of a few caps cost less than numpy's reductions
+    sizes = caps.reshape(-1).tolist()
+    n = max(sizes, default=0.0)
+    j = np.arange(n)
+    x = (j - mu[..., None]) / (caps[..., None] * temperature)
+    # Far below mu exp(x) overflows to inf and the gate is exactly 0. An
+    # infinite exponent gives that inf without an overflow warning, at less
+    # cost than silencing the warning with np.errstate.
+    x[x > _EXP_MAX] = np.inf
+    F = 1.0 / (1.0 + np.exp(x))
+    if min(sizes, default=n) < n:
+        F[j >= caps[:, None]] = 0.0
+    return F
 
 
 def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
@@ -302,12 +324,13 @@ def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarr
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
     """
     X = as_matrix(X, "X")
-    logits, _ = _soft_forward_cached(layers, nonlinearity, layers[0].B @ X, mu, cfg)
+    logits, _, _ = _soft_forward_cached(layers, nonlinearity, layers[0].B @ X, mu, cfg)
     return logits
 
 
 def _soft_forward_cached(layers, nonlinearity, u0, mu, cfg):
-    """Soft logits, and each layer's (input, B @ input, gates) for the backward.
+    """Soft logits, each layer's (input, B @ input, gates as a column) for the
+    backward, and the gates of all layers as ``fermi_factors`` returns them.
 
     ``u0`` is B_0 @ X: the network input enters only through that product,
     so layer 0's input is recorded as None.
@@ -316,17 +339,18 @@ def _soft_forward_cached(layers, nonlinearity, u0, mu, cfg):
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) != len(layers):
         raise DimensionMismatch(f"{len(mu)} mu values for {len(layers)} layers")
+    gates = fermi_factors(mu, [f.rank for f in layers], cfg.T)
     last = len(layers) - 1
     cache = []
     h, u = None, u0
     for l, f in enumerate(layers):
         if l:
             u = f.B @ h
-        F = fermi_factors(mu[l], f.rank, cfg.T)
-        z = f.A @ (F[:, None] * u)
+        F = gates[l, :f.rank, None]
+        z = f.A @ (F * u)
         cache.append((h, u, F))
         h = act(z) if l < last else z
-    return z, cache
+    return z, cache, gates
 
 
 def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
@@ -343,10 +367,13 @@ def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetCo
     """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
     ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch."""
     _, act_deriv = ACTIVATIONS[nonlinearity]
-    logits, cache = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
+    logits, cache, gates = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
     q = softmax(logits, axis=0)
     kl = _kl_of(teacher, q)
     delta = (q - teacher[0]) / logits.shape[1]   # dKL/dlogits
+    # dF_j/dmu of every layer (zero in the padding, where F is)
+    caps = np.array([f.rank for f in layers], dtype=np.float64)
+    slopes = gates * (1.0 - gates) / (caps[:, None] * cfg.T)
     g = np.zeros(len(layers))
     for l in range(len(layers) - 1, -1, -1):
         f = layers[l]
@@ -356,10 +383,10 @@ def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetCo
         # them ~1.5x faster (at 64^2 the two forms cost about the same).
         w = (delta.T @ f.A).T                    # dKL/d(F*u)
         g_F = np.sum(w * u, axis=1)              # dKL/dF_j
-        g[l] = g_F @ (F * (1.0 - F) / (f.rank * cfg.T))   # dF_j/dmu
+        g[l] = g_F @ slopes[l, :f.rank]
         if l > 0:
             # h_in is the activated output of layer l-1: chain through it.
-            dh = ((F[:, None] * w).T @ f.B).T
+            dh = ((F * w).T @ f.B).T
             delta = dh * act_deriv(h_in)
     g += penalty_grad(mu, budget, rho)
     if not np.isfinite(g).all():

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -117,6 +116,8 @@ def _pivoted_lu(M, r: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = M.shape
     if not 1 <= r <= min(rows, cols):
         raise DimensionMismatch(f"need 1 <= r <= min{M.shape}, got r={r}")
+    import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
+
     tol = PIVOT_RTOL * float(np.abs(M).max())
     lu, ipiv, _ = scipy.linalg.lapack.dgetrf(M[:, :r])
     pivots = np.abs(np.diagonal(lu))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, IllConditioned
 from .linalg import COND_LIMIT, _pivoted_lu
@@ -83,6 +82,8 @@ def select_skeleton_columns(B) -> np.ndarray:
 
 def _gauge_fix(f: LowRankFactors, perm: np.ndarray, lu: np.ndarray | None) -> PivGaFactors:
     """Gauge-fix against the block ``perm`` puts first; D from ``lu`` (B^T's, in ``perm`` order)."""
+    import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
+
     r = f.rank
     Bp = f.B[:, perm]
     B0, B1 = Bp[:, :r], Bp[:, r:]

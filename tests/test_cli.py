@@ -1,13 +1,17 @@
 """CLI pipeline: subcommands, determinism, exit codes, error mapping."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lrcompress
 from lrcompress import linalg
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
@@ -120,6 +124,18 @@ class TestCompress:
         pkg = mio.load_model_package(out)
         assert [l.payload.rank for l in pkg.layers] == [4, 4]
 
+    def test_report_times_each_stage(self, pipeline, tmp_path):
+        _, teacher, calib = pipeline
+        report = tmp_path / "report.json"
+        assert run(["compress", "--model", str(teacher), "--calib", str(calib),
+                    "--uniform", "0.5", "--pivga", "--out", str(tmp_path / "s"),
+                    "--report", str(report)]) == EXIT_OK
+        rep = json.loads(report.read_text())
+        stages = rep["timings_s"]
+        assert sorted(stages) == ["factorize", "load", "write"]
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= rep["wall_time_s"]
+
 
 class TestFermigrad:
     def test_run_and_outputs(self, pipeline, tmp_path):
@@ -223,6 +239,18 @@ class TestCompare:
         rep = json.loads(out.read_text())
         by_label = {row["label"]: row for row in rep["allocations"]}
         assert by_label["brute-force"]["kl"] <= by_label["uniform"]["kl"] + 1e-12
+
+    def test_report_times_each_stage(self, pipeline, tmp_path):
+        _, teacher, calib = pipeline
+        out = tmp_path / "cmp.json"
+        assert run(["compare", "--model", str(teacher), "--calib", str(calib),
+                    "--uniform", "--target-ratio", "0.6", "--r-min", "2",
+                    "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        stages = rep["timings_s"]
+        assert sorted(stages) == ["evaluate", "load"]
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= rep["wall_time_s"]
 
 
 class TestDefaults:
@@ -530,6 +558,61 @@ class TestOutputDirectory:
         assert err["error"] == "ValueError" and "--out" in err["message"]
         assert _files(tmp_path) == before
 
+    @pytest.mark.parametrize("cmd, flag, target", [
+        ("fermigrad", "--out-ranks", "teacher/manifest.json"),
+        ("fermigrad", "--report", "calib/manifest.json"),
+        ("fermigrad", "--trajectory", "teacher/trajectory.csv"),
+        ("compress", "--report", "calib/manifest.json"),
+        ("compress", "--out", "teacher/student"),
+        ("compare", "--out", "teacher/manifest.json"),
+        ("calibrate", "--out", "teacher/calib"),
+    ])
+    def test_output_inside_an_input_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, cmd, flag, target):
+        _, teacher, calib = pipeline
+        shutil.copytree(teacher, tmp_path / "teacher")
+        shutil.copytree(calib, tmp_path / "calib")
+        monkeypatch.chdir(tmp_path)
+        argv = {
+            "fermigrad": ["--target-ratio", "0.6", "--r-min", "2", "--iters", "5",
+                          "--out-ranks", "r.json"],
+            "compress": ["--uniform", "0.5", "--out", "student"],
+            "compare": ["--uniform", "--target-ratio", "0.6", "--r-min", "2"],
+            "calibrate": ["--out", "c2"],
+        }[cmd]
+        if cmd != "calibrate":
+            argv += ["--calib", str(tmp_path / "calib")]
+        before = _files(tmp_path)
+        # the inputs are given as absolute paths, the output as a relative one;
+        # a repeated flag takes its last value
+        assert run([cmd, "--model", str(tmp_path / "teacher"), *argv,
+                    flag, f"./{target}"]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and flag in err["message"]
+        assert "directory" in err["message"]
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("cmd, argv, message", [
+        ("fermigrad", ["--out-ranks", "r.json", "--report", "r.json"],
+         "--report ./r.json is the --out-ranks output"),
+        ("fermigrad", ["--out-ranks", "r.json", "--trajectory", "r.json"],
+         "--trajectory ./r.json is the --out-ranks output"),
+        ("compress", ["--uniform", "0.5", "--out", "s", "--report", "s/manifest.json"],
+         "--report ./s/manifest.json lies inside the --out output"),
+    ], ids=["report-is-ranks", "trajectory-is-ranks", "report-inside-out"])
+    def test_output_that_is_another_output_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch, cmd, argv, message):
+        _, teacher, calib = pipeline
+        monkeypatch.chdir(tmp_path)
+        # the second output is given with a ./ prefix: paths compare resolved
+        argv = [*argv[:-1], f"./{argv[-1]}"]
+        if cmd == "fermigrad":
+            argv = ["--target-ratio", "0.6", "--r-min", "2", "--iters", "5", *argv]
+        assert run([cmd, "--model", str(teacher), "--calib", str(calib), *argv]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and err["message"] == message
+        assert _files(tmp_path) == {}
+
 
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("flags, topic", [
@@ -660,3 +743,33 @@ class TestFactorStore:
         code = run(_consumer_argvs(teacher, bad, tmp_path)["compare"])
         assert code == EXIT_IO
         assert _one_error_line(capsys)["error"] == "FileNotFoundError"
+
+
+class TestColdStart:
+    def test_only_pivga_imports_scipy(self, pipeline, tmp_path):
+        """In a fresh interpreter the commands without PivGa leave SciPy unloaded;
+        compress --pivga then loads it and succeeds."""
+        root, _, _ = pipeline
+        script = f"""
+import sys
+from lrcompress.cli import main
+root, out = {str(root)!r}, {str(tmp_path)!r}
+T, C = out + "/teacher", out + "/calib"
+for argv in (["gen-teacher", "--spec", root + "/spec.json", "--out", T],
+             ["calibrate", "--model", T, "--samples", "64", "--out", C],
+             ["fermigrad", "--model", T, "--calib", C, "--target-ratio", "0.6",
+              "--r-min", "2", "--iters", "5", "--out-ranks", out + "/r.json"],
+             ["compare", "--model", T, "--calib", C, "--ranks", out + "/r.json"]):
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+assert main(["compress", "--model", T, "--calib", C, "--ranks", out + "/r.json",
+             "--pivga", "--out", out + "/student"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+        src = str(Path(lrcompress.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert mio.load_model_package(tmp_path / "student").layers[0].kind == "pivga"

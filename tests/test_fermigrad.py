@@ -74,6 +74,32 @@ class TestFermiFactors:
         with pytest.raises(ValueError):
             fermi_factors(5.0, 10, 0.0)
 
+    @pytest.mark.parametrize("caps", [[64, 64, 64], [5, 64, 13], [1, 2, 40]])
+    def test_vector_rows_equal_scalar_calls(self, caps):
+        mu = np.array([3.25, 40.0, -900.0])   # the last row saturates to 0
+        F = fermi_factors(mu, caps, 0.05)
+        assert F.shape == (3, max(caps))
+        for row, m, n in zip(F, mu, caps):
+            assert np.array_equal(row[:n], fermi_factors(m, n, 0.05))
+            assert np.all(row[n:] == 0.0)
+        with pytest.raises(DimensionMismatch):
+            fermi_factors(mu, caps[:2], 0.05)
+
+    def test_matches_expit(self):
+        from scipy.special import expit
+
+        # mu spans both saturation ends: gates of exactly 0 and exactly 1
+        mu = np.linspace(-900.0, 960.0, 1861)
+        caps = np.full(mu.shape, 64)
+        F = fermi_factors(mu, caps, 1.0 / 64)      # N*T = 1: exponent j - mu
+        ref = expit(mu[:, None] - np.arange(64.0))
+        assert np.any(F == 0.0) and np.any(F == 1.0)
+        assert np.array_equal(F == 0.0, ref == 0.0) and np.array_equal(F == 1.0, ref == 1.0)
+        # np.exp and libm's exp may differ by an ulp, which the rounding of
+        # 1 + e and 1/(1 + e) carries into a few-eps relative difference
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(F - ref) <= 4 * eps * np.maximum(F, ref))
+
 
 class TestSoftTruncate:
     def setup_method(self):
