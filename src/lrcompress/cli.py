@@ -95,23 +95,31 @@ def _read_ranks(path: str, caps: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _check_outputs(args, outputs, inputs) -> None:
+def _labelled(item: str) -> tuple[str, str]:
+    """A compare --ranks item: label=path, or a bare path that is its own label."""
+    label, _, path = item.partition("=")
+    return (label, path) if path else (item, item)
+
+
+def _check_outputs(args, outputs, inputs, files=()) -> None:
     """Refuse an output path (flags ``outputs``, unset ones skipped) that is, or
-    lies inside, an input package directory (flags ``inputs``) or an output
-    named before it: writing there would replace or add files of that package,
-    such as its manifest, or overwrite the other output."""
-    taken = {flag: (Path(getattr(args, flag)).resolve(), "directory") for flag in inputs}
+    lies inside, an input package directory (flags ``inputs``), an input file
+    (``files``: (flag, path) pairs) or an output named before it: writing
+    there would replace or add files of that package, such as its manifest,
+    overwrite the input file, or overwrite the other output."""
+    taken = [(flag, Path(getattr(args, flag)).resolve(), "directory") for flag in inputs]
+    taken += [(flag, Path(path).resolve(), "file") for flag, path in files]
     for out_flag in outputs:
         given = getattr(args, out_flag)
         if given is None:
             continue
         out = Path(given).resolve()
-        for flag, (path, kind) in taken.items():
+        for flag, path, kind in taken:
             if out == path or path in out.parents:
                 where = "is" if out == path else "lies inside"
                 raise ValueError(f"--{out_flag.replace('_', '-')} {given} {where} the "
                                  f"--{flag.replace('_', '-')} {kind}")
-        taken[out_flag] = (out, "output")
+        taken.append((out_flag, out, "output"))
 
 
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
@@ -140,22 +148,28 @@ def cmd_gen_teacher(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    timings = _StageTimer()
     _check_outputs(args, ["out"], ["model"])
     model = mio.load_model_package(args.model).to_toy_model()
+    timings.lap("load")
     X = tm.gen_calibration(model.spec, args.samples, args.seed)
     mats = tm.layer_calibration_matrices(model, X)
+    timings.lap("calibrate")
     tm.attach_factors_from_calibration(model, mats)
+    timings.lap("factorize")
     mio.save_calibration_package(args.out, mats, samples=args.samples, seed=args.seed,
                                  model=model)
+    timings.lap("write")
     print(json.dumps({"out": args.out, "samples": args.samples, "seed": args.seed,
-                      "layers": len(mats)}, sort_keys=True))
+                      "layers": len(mats), "timings_s": timings.stages}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_compress(args) -> int:
     t0 = time.perf_counter()
     timings = _StageTimer()
-    _check_outputs(args, ["out", "report"], ["model", "calib"])
+    _check_outputs(args, ["out", "report"], ["model", "calib"],
+                   [("ranks", args.ranks)] if args.ranks is not None else [])
     model = _load_factored(args)
     caps = model.spec.caps()
     if args.ranks is not None:
@@ -261,16 +275,13 @@ def cmd_fermigrad(args) -> int:
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     timings = _StageTimer()
-    _check_outputs(args, ["out"], ["model", "calib"])
+    ranks_files = [_labelled(item) for item in args.ranks or []]
+    _check_outputs(args, ["out"], ["model", "calib"],
+                   [("ranks", path) for _, path in ranks_files])
     model = _load_factored(args)
     data = tm.gen_calibration(model.spec, args.samples, args.seed)
 
-    entries = []
-    for item in args.ranks or []:
-        label, _, path = item.partition("=")
-        if not path:
-            label, path = item, item
-        entries.append((label, _read_ranks(path, model.spec.caps())))
+    entries = [(label, _read_ranks(path, model.spec.caps())) for label, path in ranks_files]
     timings.lap("load")
 
     terms = tm.teacher_terms(model, data)
@@ -364,18 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target-params", type=int, default=None)
     f.add_argument("--target-ratio", type=float, default=None,
                    help="target as a fraction of the dense parameter count")
-    f.add_argument("--mode", choices=["linear", "parabolic"], default="linear")
-    f.add_argument("-T", type=float, default=0.01, help="Fermi temperature")
-    f.add_argument("--r-min", type=int, default=8)
-    f.add_argument("--rho0", type=float, default=1.0)
-    f.add_argument("--alpha", type=float, default=1.02)
-    f.add_argument("--rho-max", type=float, default=2000.0)
-    f.add_argument("--n-scale", type=float, default=1e9)
-    f.add_argument("--step", type=float, default=0.5)
-    f.add_argument("--iters", type=int, default=500)
-    f.add_argument("--mu-tol", type=float, default=1e-3)
-    f.add_argument("--constraint-tol", type=float, default=5e-3)
-    f.add_argument("--batch-size", type=int, default=32)
+    f.add_argument("--mode", choices=["linear", "parabolic"], default=fg.BudgetConstraint.mode)
+    f.add_argument("-T", type=float, default=fg.FermiConfig.T, help="Fermi temperature")
+    f.add_argument("--r-min", type=int, default=fg.FermiConfig.r_min)
+    f.add_argument("--rho0", type=float, default=fg.RhoSchedule.rho0)
+    f.add_argument("--alpha", type=float, default=fg.RhoSchedule.alpha)
+    f.add_argument("--rho-max", type=float, default=fg.RhoSchedule.rho_max)
+    f.add_argument("--n-scale", type=float, default=fg.BudgetConstraint.n_scale)
+    f.add_argument("--step", type=float, default=fg.OptimizerConfig.step_size)
+    f.add_argument("--iters", type=int, default=fg.OptimizerConfig.max_iters)
+    f.add_argument("--mu-tol", type=float, default=fg.OptimizerConfig.mu_tol)
+    f.add_argument("--constraint-tol", type=float, default=fg.OptimizerConfig.constraint_tol)
+    f.add_argument("--batch-size", type=int, default=fg.OptimizerConfig.batch_size)
     f.add_argument("--kl-samples", type=int, default=512,
                    help="training samples for the KL loss (seeded)")
     f.add_argument("--seed", type=int, default=0)
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--r-min", type=int, default=1)
     q.add_argument("--target-params", type=int, default=None)
     q.add_argument("--target-ratio", type=float, default=None)
-    q.add_argument("--mode", choices=["linear", "parabolic"], default="linear")
+    q.add_argument("--mode", choices=["linear", "parabolic"], default=fg.BudgetConstraint.mode)
     q.add_argument("--samples", type=int, default=512)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", help="write a JSON comparison report here")

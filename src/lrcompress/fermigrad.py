@@ -30,12 +30,6 @@ from .errors import (
 from .linalg import as_matrix
 from .svdcompress import LowRankFactors
 
-# Probability floor applied to the student distribution before the log.
-Q_FLOOR = 1e-30
-
-# Largest float64 whose exp is finite; exp of the next float up is inf.
-_EXP_MAX = float(np.log(np.finfo(np.float64).max))
-
 # activation -> (forward, derivative as a function of the activated output)
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda h: 1.0 - h * h),
@@ -96,9 +90,9 @@ class BudgetConstraint:
             )
 
     @classmethod
-    def from_shapes(cls, shapes, n_target, mode="linear", n_inc=0, n_scale=1e9):
-        a = [m + n for (m, n) in shapes]
-        return cls(n_target=int(n_target), a=a, mode=mode, n_inc=int(n_inc), n_scale=n_scale)
+    def from_shapes(cls, shapes, n_target, **fields):
+        """The constraint for layers of (m, n) ``shapes``; ``fields`` sets the others."""
+        return cls(n_target=int(n_target), a=[m + n for (m, n) in shapes], **fields)
 
     def count(self, x):
         """Parameter count at per-layer ranks x: x.a + N_inc, minus sum(x^2) in parabolic mode."""
@@ -182,23 +176,15 @@ def fermi_factors(mu, n_cap, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     mu = np.asarray(mu, dtype=np.float64)
-    # float caps give the products int * float gives, without a cast per call
     caps = np.asarray(n_cap, dtype=np.float64)
     if mu.ndim > 1 or mu.shape != caps.shape:
         raise DimensionMismatch(f"mu shape {mu.shape} and cap shape {caps.shape} differ")
-    # Python max/min of a few caps cost less than numpy's reductions
-    sizes = caps.reshape(-1).tolist()
-    n = max(sizes, default=0.0)
-    j = np.arange(n)
-    x = (j - mu[..., None]) / (caps[..., None] * temperature)
-    # Far below mu exp(x) overflows to inf and the gate is exactly 0. An
-    # infinite exponent gives that inf without an overflow warning, at less
-    # cost than silencing the warning with np.errstate.
-    x[x > _EXP_MAX] = np.inf
-    F = 1.0 / (1.0 + np.exp(x))
-    if min(sizes, default=n) < n:
-        F[j >= caps[:, None]] = 0.0
-    return F
+    j = np.arange(caps.max(initial=0))
+    caps = caps[..., None]
+    # far below mu exp overflows to inf and the gate is exactly 0
+    with np.errstate(over="ignore"):
+        F = 1.0 / (1.0 + np.exp((j - mu[..., None]) / (caps * temperature)))
+    return np.where(j < caps, F, 0.0)
 
 
 def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
@@ -251,16 +237,12 @@ def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.exp(_log_softmax(np.asarray(logits, dtype=np.float64), axis))
-
-
 def kl_divergence(teacher_logits, student_logits) -> float:
     """Mean KL divergence D(P_teacher || Q_student) over rows of logits.
 
     Both arguments are samples x k matrices of raw logits; each row is
-    softmaxed at temperature 1. The student probabilities are floored at
-    1e-30 before the log.
+    softmaxed at temperature 1, and both log-probabilities come from the
+    same log-softmax.
     """
     # the one transpose into the classes x samples layout of every forward
     t = as_matrix(np.transpose(teacher_logits), "teacher_logits")
@@ -276,18 +258,18 @@ def _teacher_terms(logits: np.ndarray):
     return np.exp(log_p), log_p
 
 
-def _kl_of(terms, q: np.ndarray) -> float:
-    """Mean KL of student probabilities ``q`` (classes x samples) against
-    ``_teacher_terms`` output, with q floored at Q_FLOOR before the log."""
+def _kl_of(terms, log_q: np.ndarray) -> float:
+    """Mean KL of student log-probabilities ``log_q`` (classes x samples)
+    against ``_teacher_terms`` output."""
     p, log_p = terms
-    per_sample = np.sum(p * (log_p - np.log(np.maximum(q, Q_FLOOR))), axis=0)
+    per_sample = np.sum(p * (log_p - log_q), axis=0)
     # mathematically >= 0; the max guards round-off at q == p
     return max(0.0, float(np.mean(per_sample)))
 
 
 def _kl_against(terms, logits: np.ndarray) -> float:
     """Mean KL of student logits (classes x samples) against ``_teacher_terms`` output."""
-    return _kl_of(terms, softmax(logits, axis=0))
+    return _kl_of(terms, _log_softmax(logits, axis=0))
 
 
 def layer_inputs(layers, nonlinearity: str, X):
@@ -368,8 +350,9 @@ def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetCo
     ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch."""
     _, act_deriv = ACTIVATIONS[nonlinearity]
     logits, cache, gates = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
-    q = softmax(logits, axis=0)
-    kl = _kl_of(teacher, q)
+    log_q = _log_softmax(logits, axis=0)
+    kl = _kl_of(teacher, log_q)
+    q = np.exp(log_q)
     delta = (q - teacher[0]) / logits.shape[1]   # dKL/dlogits
     # dF_j/dmu of every layer (zero in the padding, where F is)
     caps = np.array([f.rank for f in layers], dtype=np.float64)

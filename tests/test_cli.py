@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import lrcompress
+from lrcompress import fermigrad as fg
 from lrcompress import linalg
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
@@ -85,6 +87,18 @@ class TestCalibrate:
                         "--seed", "7", "--out", str(c)]) == EXIT_OK
         assert (c1 / "layer_00.C.lrmx").read_bytes() == (c2 / "layer_00.C.lrmx").read_bytes()
         assert (c1 / "layer_01.C.lrmx").read_bytes() == (c2 / "layer_01.C.lrmx").read_bytes()
+
+    def test_report_times_each_stage(self, pipeline, tmp_path, capsys):
+        _, teacher, _ = pipeline
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(["calibrate", "--model", str(teacher), "--samples", "64",
+                    "--out", str(tmp_path / "c")]) == EXIT_OK
+        wall = time.perf_counter() - start
+        stages = json.loads(capsys.readouterr().out)["timings_s"]
+        assert sorted(stages) == ["calibrate", "factorize", "load", "write"]
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= wall
 
 
 class TestCompress:
@@ -212,6 +226,40 @@ class TestFermigrad:
             == abs(last["n_param"] - target) / target
         assert rep["budget_gap_params"] == printed["budget_gap_params"] \
             == target - rep["achieved_params"] >= 0
+
+
+class TestParabolicMode:
+    """Parabolic (gauge-fixed) budgets through the CLI: the contract, not quality."""
+
+    def test_fermigrad_stays_within_a_parabolic_budget(self, pipeline, tmp_path):
+        _, teacher, calib = pipeline
+        report = tmp_path / "report.json"
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--mode", "parabolic", "--target-ratio", "0.6", "--r-min", "2",
+                    "--n-scale", "1e7", "--out-ranks", str(tmp_path / "r.json"),
+                    "--report", str(report)]) == EXIT_OK
+        rep = json.loads(report.read_text())
+        assert rep["config"]["mode"] == "parabolic"
+        assert rep["stop_reason"] in ("converged", "iteration_cap")
+        assert rep["achieved_params"] <= rep["target_params"]
+        model = mio.load_model_package(teacher)
+        budget = fg.BudgetConstraint.from_shapes(model.spec.layer_shapes,
+                                                 rep["target_params"], mode="parabolic",
+                                                 n_inc=model.n_inc)
+        assert rep["achieved_params"] == fg.count_params(rep["final_ranks"], budget)
+
+    def test_compare_baselines_within_a_parabolic_budget(self, pipeline, tmp_path):
+        _, teacher, calib = pipeline
+        out = tmp_path / "cmp.json"
+        assert run(["compare", "--model", str(teacher), "--calib", str(calib),
+                    "--mode", "parabolic", "--uniform", "--brute-force", "--grid-step", "4",
+                    "--r-min", "2", "--target-ratio", "0.6", "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["config"]["mode"] == "parabolic"
+        rows = {row["label"]: row for row in rep["allocations"]}
+        assert sorted(rows) == ["brute-force", "uniform"]
+        for row in rows.values():
+            assert row["params_parabolic"] <= rep["config"]["target_params"]
 
 
 class TestCompare:
@@ -612,6 +660,23 @@ class TestOutputDirectory:
         err = _one_error_line(capsys)
         assert err["error"] == "ValueError" and err["message"] == message
         assert _files(tmp_path) == {}
+
+    @pytest.mark.parametrize("cmd, argv, message", [
+        ("compress", ["--ranks", "r.json", "--out", "s", "--report", "./r.json"],
+         "--report ./r.json is the --ranks file"),
+        ("compare", ["--ranks", "mine=r.json", "--out", "./r.json"],
+         "--out ./r.json is the --ranks file"),
+    ], ids=["compress-report", "compare-out"])
+    def test_output_that_is_the_ranks_file_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch, cmd, argv, message):
+        _, teacher, calib = pipeline
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text(json.dumps({"ranks": [4, 8]}))
+        before = _files(tmp_path)
+        assert run([cmd, "--model", str(teacher), "--calib", str(calib), *argv]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and err["message"] == message
+        assert _files(tmp_path) == before
 
 
 class TestNonFiniteFlags:

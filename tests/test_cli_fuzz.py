@@ -1,0 +1,151 @@
+"""Property test: every CLI run ends in a documented exit code, and a failing
+run prints exactly one JSON line to stderr and leaves its inputs untouched.
+
+Each example starts from a valid run of one of the five subcommands on a
+2-layer 16x16 teacher and makes one change to its argv: a flag dropped,
+duplicated or retyped, a value replaced by an edge value, or an output
+aimed at one of the run's inputs. Whatever the outcome, every file of the
+input packages keeps its sha256.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from lrcompress.cli import EXIT_OK, main
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+# Edge values a flag's value is replaced by. 2**63 is one past int64 and far
+# beyond any size numpy can allocate; an --iters that large need not end.
+EDGE_VALUES = ["0", "-1", str(2**63), "nan", "inf", ""]
+# Values of another type a flag's value is retyped to.
+RETYPED = ["x", "1.5", "[]"]
+
+SPEC = {
+    "layer_shapes": [[16, 16], [16, 16]],
+    "planted_ranks": [3, 12],
+    "spectrum_decay": 3.0,
+    "noise_floor": 1e-3,
+    "output_dim": 16,
+    "nonlinearity": "tanh",
+    "seed": 5,
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The input packages, and each subcommand's valid run as (flag, value) pairs.
+
+    Outputs are relative paths, so each run writes into its own working
+    directory. A value of None marks a flag that takes none.
+    """
+    root = tmp_path_factory.mktemp("clifuzz")
+    spec = root / "spec" / "spec.json"
+    spec.parent.mkdir()
+    spec.write_text(json.dumps(SPEC))
+    teacher, calib, ranks = root / "teacher", root / "calib", root / "ranks.json"
+    assert main(["gen-teacher", "--spec", str(spec), "--out", str(teacher)]) == EXIT_OK
+    assert main(["calibrate", "--model", str(teacher), "--samples", "64", "--seed", "1",
+                 "--out", str(calib)]) == EXIT_OK
+    ranks.write_text(json.dumps({"ranks": [4, 8]}))
+    T, C, R = str(teacher), str(calib), str(ranks)
+    runs = {
+        "gen-teacher": [("--spec", str(spec)), ("--seed", "3"), ("--out", "t")],
+        "calibrate": [("--model", T), ("--samples", "64"), ("--seed", "2"), ("--out", "c")],
+        "compress": [("--model", T), ("--calib", C), ("--ranks", R), ("--pivga", None),
+                     ("--out", "s"), ("--report", "rep.json")],
+        "fermigrad": [("--model", T), ("--calib", C), ("--target-ratio", "0.6"),
+                      ("--r-min", "2"), ("--n-scale", "1e7"), ("--iters", "20"),
+                      ("--kl-samples", "64"), ("--batch-size", "16"),
+                      ("--out-ranks", "r.json"), ("--trajectory", "t.csv"),
+                      ("--report", "f.json")],
+        "compare": [("--model", T), ("--calib", C), ("--ranks", f"mine={R}"),
+                    ("--uniform", None), ("--brute-force", None), ("--grid-step", "4"),
+                    ("--r-min", "2"), ("--target-ratio", "0.6"), ("--samples", "64"),
+                    ("--out", "cmp.json")],
+    }
+    # paths an output is aimed at: an input package itself, or a path inside it
+    aimed = {
+        "gen-teacher": [str(spec)],
+        "calibrate": [T, str(teacher / "manifest.json"), str(teacher / "sub")],
+        "compress": [T, C, R, str(calib / "manifest.json"), str(teacher / "sub")],
+        "fermigrad": [T, C, str(teacher / "manifest.json"), str(calib / "sub")],
+        "compare": [T, C, R, str(calib / "manifest.json")],
+    }
+    outputs = {"--out", "--report", "--out-ranks", "--trajectory"}
+    files = [spec, ranks, *teacher.iterdir(), *calib.iterdir()]
+    return runs, aimed, outputs, files
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@st.composite
+def mutations(draw, runs, aimed, outputs):
+    """One subcommand's argv with exactly one change."""
+    command = draw(st.sampled_from(sorted(runs)))
+    pairs = list(runs[command])
+    i = draw(st.integers(0, len(pairs) - 1))
+    flag, value = pairs[i]
+    kinds = ["drop", "duplicate", "retype"]
+    if value is not None:
+        kinds.append("edge")
+    if flag in outputs:
+        kinds.append("aim")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del pairs[i]
+    elif kind == "duplicate":
+        pairs.insert(i + 1, pairs[i])
+    elif kind == "retype":
+        pairs[i] = (flag, draw(st.sampled_from(RETYPED)))
+    elif kind == "edge":
+        edges = [v for v in EDGE_VALUES if not (flag == "--iters" and v == str(2**63))]
+        pairs[i] = (flag, draw(st.sampled_from(edges)))
+    else:
+        pairs[i] = (flag, draw(st.sampled_from(aimed[command])))
+    argv = [command]
+    for flag, value in pairs:
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def test_one_json_line_contract(inputs, capsys):
+    runs, aimed, outputs, files = inputs
+    original = {p: p.read_bytes() for p in files}
+    digests = {p: _sha256(p) for p in files}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutations(runs, aimed, outputs))
+    def check(argv):
+        capsys.readouterr()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                code = main(argv)
+            finally:
+                os.chdir(cwd)
+        err = capsys.readouterr().err
+        assert code in EXIT_CODES, (argv, code)
+        if code != EXIT_OK:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1, (argv, err)
+            payload = json.loads(lines[0])
+            assert set(payload) == {"error", "message"}, (argv, payload)
+            assert "Traceback" not in err
+        changed = [p for p in files if _sha256(p) != digests[p]]
+        # put the inputs back, so that only the run that changed them fails
+        for p in changed:
+            p.write_bytes(original[p])
+        assert not changed, (argv, changed)
+
+    check()

@@ -258,6 +258,12 @@ class TestKlDivergence:
         with pytest.raises(DimensionMismatch):
             kl_divergence(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_exact_where_a_student_probability_underflows(self):
+        # q_1 = e^-100 / (1 + e^-100): every term is the exact log-softmax,
+        # with no floor under the student probability
+        exact = np.log(0.5) + 50.0 + np.log1p(np.exp(-100.0))
+        assert kl_divergence([[0.0, 0.0]], [[0.0, -100.0]]) == pytest.approx(exact, rel=1e-12)
+
 
 class TestGradMu:
     def test_saturated_teacher_student_gradient_vanishes(self):
@@ -438,9 +444,9 @@ def reference_optimize(model, data, budget, cfg, sched, opt):
             z = f.A @ (F[:, None] * u)
             cache.append((h, u, F))
             h = act(z) if l < last else z
-        q = fg.softmax(z, axis=0)
-        kl = max(0.0, float(np.mean(np.sum(p * (log_p - np.log(np.maximum(q, fg.Q_FLOOR))),
-                                           axis=0))))
+        log_q = fg._log_softmax(z, axis=0)
+        q = np.exp(log_q)
+        kl = max(0.0, float(np.mean(np.sum(p * (log_p - log_q), axis=0))))
         delta = (q - p) / bs
         g = np.zeros(len(caps))
         for l in range(last, -1, -1):
