@@ -44,8 +44,8 @@ EXIT_NUMERIC = 5
 _EPILOG = """exit codes:
   0  success
   2  usage error (unknown, missing or malformed flags, a flag value out of range,
-     or an output path that is, or lies inside, an input package directory or
-     another output)
+     a sample count too large to allocate, or an output path that is, or lies
+     inside, an input package directory or another output)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
      a calibration package made for another teacher or without factors)
@@ -122,14 +122,24 @@ def _check_outputs(args, outputs, inputs, files=()) -> None:
         taken.append((out_flag, out, "output"))
 
 
+def _draw(spec: tm.ToyModelSpec, n_samples: int, seed: int, flag: str) -> np.ndarray:
+    """``gen_calibration``, with a sample count too large to allocate refused
+    as a usage error of ``flag``."""
+    try:
+        return tm.gen_calibration(spec, n_samples, seed)
+    except MemoryError as exc:
+        raise ValueError(f"{flag} {n_samples} is too large to allocate: {exc}") from None
+
+
 def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
                       n_scale: float = fg.BudgetConstraint.n_scale) -> fg.BudgetConstraint:
     if args.target_params is not None:
         target = int(args.target_params)
     elif args.target_ratio is not None:
-        if not np.isfinite(args.target_ratio):
-            raise ValueError(f"--target-ratio must be finite, got {args.target_ratio}")
-        target = int(args.target_ratio * spec.dense_param_count(n_inc))
+        target = args.target_ratio * spec.dense_param_count(n_inc)
+        if not np.isfinite(target):
+            raise ValueError(f"--target-ratio {args.target_ratio} gives a non-finite target")
+        target = int(target)
     else:
         raise ValueError("one of --target-params / --target-ratio is required")
     return fg.BudgetConstraint.from_shapes(
@@ -152,7 +162,7 @@ def cmd_calibrate(args) -> int:
     _check_outputs(args, ["out"], ["model"])
     model = mio.load_model_package(args.model).to_toy_model()
     timings.lap("load")
-    X = tm.gen_calibration(model.spec, args.samples, args.seed)
+    X = _draw(model.spec, args.samples, args.seed, "--samples")
     mats = tm.layer_calibration_matrices(model, X)
     timings.lap("calibrate")
     tm.attach_factors_from_calibration(model, mats)
@@ -226,7 +236,7 @@ def cmd_fermigrad(args) -> int:
                              mu_tol=args.mu_tol, constraint_tol=args.constraint_tol,
                              batch_size=args.batch_size)
     timings.lap("load")
-    data = tm.gen_calibration(model.spec, args.kl_samples, args.seed)
+    data = _draw(model.spec, args.kl_samples, args.seed, "--kl-samples")
     trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
     timings.lap("optimize")
     mio.write_ranks_file(args.out_ranks, alloc)
@@ -234,7 +244,7 @@ def cmd_fermigrad(args) -> int:
         mio.write_trajectory_csv(args.trajectory, trajectory)
     timings.lap("write")
 
-    eval_data = tm.gen_calibration(model.spec, args.kl_samples, args.seed + 1)
+    eval_data = _draw(model.spec, args.kl_samples, args.seed + 1, "--kl-samples")
     evaluation = tm.evaluate_allocation(model, eval_data, alloc.ranks)
     timings.lap("evaluate")
     report = {
@@ -279,7 +289,7 @@ def cmd_compare(args) -> int:
     _check_outputs(args, ["out"], ["model", "calib"],
                    [("ranks", path) for _, path in ranks_files])
     model = _load_factored(args)
-    data = tm.gen_calibration(model.spec, args.samples, args.seed)
+    data = _draw(model.spec, args.samples, args.seed, "--samples")
 
     entries = [(label, _read_ranks(path, model.spec.caps())) for label, path in ranks_files]
     timings.lap("load")

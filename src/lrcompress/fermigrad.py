@@ -181,10 +181,17 @@ def fermi_factors(mu, n_cap, temperature: float) -> np.ndarray:
         raise DimensionMismatch(f"mu shape {mu.shape} and cap shape {caps.shape} differ")
     j = np.arange(caps.max(initial=0))
     caps = caps[..., None]
-    # far below mu exp overflows to inf and the gate is exactly 0
     with np.errstate(over="ignore"):
-        F = 1.0 / (1.0 + np.exp((j - mu[..., None]) / (caps * temperature)))
+        F = _gates(j, mu, caps * temperature)
     return np.where(j < caps, F, 0.0)
+
+
+def _gates(j, mu, widths) -> np.ndarray:
+    """The gates at indices ``j`` of each entry of ``mu``, one row per entry,
+    with no padding: a row is a layer's gates only up to that layer's cap.
+    Far below mu exp overflows to inf and the gate is exactly 0, so callers
+    ignore overflow."""
+    return 1.0 / (1.0 + np.exp((j - mu[..., None]) / widths))
 
 
 def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
@@ -226,15 +233,28 @@ def rho_schedule(t: int, s: RhoSchedule) -> float:
     """Penalty weight at iteration t: min(rho0 * alpha^t, rho_max)."""
     if t < 0:
         raise ValueError(f"iteration must be non-negative, got {t}")
-    # alpha**t overflows float range long after the cap binds
-    if t * np.log(s.alpha) >= np.log(s.rho_max / s.rho0):
-        return s.rho_max
-    return min(s.rho0 * s.alpha**t, s.rho_max)
+    return _rho_ramp(s)(t)
 
 
+def _rho_ramp(s: RhoSchedule):
+    """``rho_schedule(., s)`` with the logarithms of its cap test taken once."""
+    log_alpha, log_cap = np.log(s.alpha), np.log(s.rho_max / s.rho0)
+
+    def rho(t: int) -> float:
+        # alpha**t overflows float range long after the cap binds
+        if t * log_alpha >= log_cap:
+            return s.rho_max
+        return min(s.rho0 * s.alpha**t, s.rho_max)
+
+    return rho
+
+
+# Reductions below call the ufunc's reduce directly: np.sum, np.mean and
+# np.max compute the same thing through a Python wrapper that, on a desk
+# model's 64 x 32 arrays, costs about as much as the reduction itself.
 def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=axis, keepdims=True))
 
 
 def kl_divergence(teacher_logits, student_logits) -> float:
@@ -262,9 +282,9 @@ def _kl_of(terms, log_q: np.ndarray) -> float:
     """Mean KL of student log-probabilities ``log_q`` (classes x samples)
     against ``_teacher_terms`` output."""
     p, log_p = terms
-    per_sample = np.sum(p * (log_p - log_q), axis=0)
+    per_sample = np.add.reduce(p * (log_p - log_q), axis=0)
     # mathematically >= 0; the max guards round-off at q == p
-    return max(0.0, float(np.mean(per_sample)))
+    return max(0.0, float(np.add.reduce(per_sample) / per_sample.size))
 
 
 def _kl_against(terms, logits: np.ndarray) -> float:
@@ -306,32 +326,49 @@ def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarr
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
     """
     X = as_matrix(X, "X")
-    logits, _, _ = _soft_forward_cached(layers, nonlinearity, layers[0].B @ X, mu, cfg)
+    net = _Net(layers, nonlinearity, cfg)
+    with np.errstate(over="ignore"):
+        logits, _, _ = _soft_forward_cached(net, layers[0].B @ X, mu)
     return logits
 
 
-def _soft_forward_cached(layers, nonlinearity, u0, mu, cfg):
+class _Net:
+    """What a FermiGrad iteration reads and never changes, set up once per run:
+    each layer's factors and rank, the activation pair, the gate index grid
+    and the gate widths N_l * T (the same float products ``fermi_factors``
+    forms)."""
+
+    def __init__(self, layers, nonlinearity: str, cfg: FermiConfig):
+        self.layers = [(f.A, f.B, f.rank) for f in layers]
+        self.act, self.act_deriv = ACTIVATIONS[nonlinearity]
+        caps = np.array([f.rank for f in layers], dtype=np.float64)
+        self.j = np.arange(caps.max(initial=0))
+        self.widths = caps[:, None] * cfg.T
+
+
+def _soft_forward_cached(net: _Net, u0, mu):
     """Soft logits, each layer's (input, B @ input, gates as a column) for the
-    backward, and the gates of all layers as ``fermi_factors`` returns them.
+    backward, and every layer's gates as ``_gates`` returns them (callers
+    ignore overflow).
 
     ``u0`` is B_0 @ X: the network input enters only through that product,
     so layer 0's input is recorded as None.
     """
-    act, _ = ACTIVATIONS[nonlinearity]
     mu = np.asarray(mu, dtype=np.float64)
-    if len(mu) != len(layers):
-        raise DimensionMismatch(f"{len(mu)} mu values for {len(layers)} layers")
-    gates = fermi_factors(mu, [f.rank for f in layers], cfg.T)
-    last = len(layers) - 1
+    if mu.shape != (len(net.layers),):
+        got = f"{len(mu)} mu values" if mu.ndim == 1 else f"mu of shape {mu.shape}"
+        raise DimensionMismatch(f"{got} for {len(net.layers)} layers")
+    gates = _gates(net.j, mu, net.widths)
+    last = len(net.layers) - 1
     cache = []
     h, u = None, u0
-    for l, f in enumerate(layers):
+    for l, (A, B, rank) in enumerate(net.layers):
         if l:
-            u = f.B @ h
-        F = gates[l, :f.rank, None]
-        z = f.A @ (F * u)
+            u = B @ h
+        F = gates[l, :rank, None]
+        z = A @ (F * u)
         cache.append((h, u, F))
-        h = act(z) if l < last else z
+        h = net.act(z) if l < last else z
     return z, cache, gates
 
 
@@ -344,33 +381,31 @@ def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
     return run([f.truncated(int(r)) for f, r in zip(layers, ranks)], nonlinearity, X)
 
 
-def _loss_grad(layers, nonlinearity, teacher, u0, mu: MuVector, budget: BudgetConstraint,
-               rho: float, cfg: FermiConfig):
+def _loss_grad(net: _Net, teacher, u0, mu: MuVector, budget: BudgetConstraint, rho: float):
     """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
-    ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch."""
-    _, act_deriv = ACTIVATIONS[nonlinearity]
-    logits, cache, gates = _soft_forward_cached(layers, nonlinearity, u0, mu.mu, cfg)
+    ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch.
+    Callers ignore overflow, which saturates the gates."""
+    logits, cache, gates = _soft_forward_cached(net, u0, mu.mu)
     log_q = _log_softmax(logits, axis=0)
     kl = _kl_of(teacher, log_q)
     q = np.exp(log_q)
     delta = (q - teacher[0]) / logits.shape[1]   # dKL/dlogits
-    # dF_j/dmu of every layer (zero in the padding, where F is)
-    caps = np.array([f.rank for f in layers], dtype=np.float64)
-    slopes = gates * (1.0 - gates) / (caps[:, None] * cfg.T)
-    g = np.zeros(len(layers))
-    for l in range(len(layers) - 1, -1, -1):
-        f = layers[l]
+    # dF_j/dmu of every layer; row l is read up to layer l's rank only
+    slopes = gates * (1.0 - gates) / net.widths
+    g = np.zeros(len(net.layers))
+    for l in range(len(net.layers) - 1, -1, -1):
+        A, B, rank = net.layers[l]
         h_in, u, F = cache[l]
         # A^T delta and B^T (F*w) as the row products (delta^T A)^T and
         # ((F*w)^T B)^T: no operand is transposed, and at 1024^2 x 32 BLAS runs
         # them ~1.5x faster (at 64^2 the two forms cost about the same).
-        w = (delta.T @ f.A).T                    # dKL/d(F*u)
-        g_F = np.sum(w * u, axis=1)              # dKL/dF_j
-        g[l] = g_F @ slopes[l, :f.rank]
+        w = (delta.T @ A).T                      # dKL/d(F*u)
+        g_F = np.add.reduce(w * u, axis=1)       # dKL/dF_j
+        g[l] = g_F @ slopes[l, :rank]
         if l > 0:
             # h_in is the activated output of layer l-1: chain through it.
-            dh = ((F * w).T @ f.B).T
-            delta = dh * act_deriv(h_in)
+            dh = ((F * w).T @ B).T
+            delta = dh * net.act_deriv(h_in)
     g += penalty_grad(mu, budget, rho)
     if not np.isfinite(g).all():
         raise NonFiniteGradient(f"gradient has non-finite components: {g}")
@@ -387,8 +422,9 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
     """
     teacher = _teacher_terms(as_matrix(teacher_logits))
     layers = student.factors
-    return _loss_grad(layers, student.nonlinearity, teacher, layers[0].B @ as_matrix(batch),
-                      mu, budget, rho, cfg)[1]
+    net = _Net(layers, student.nonlinearity, cfg)
+    with np.errstate(over="ignore"):
+        return _loss_grad(net, teacher, layers[0].B @ as_matrix(batch), mu, budget, rho)[1]
 
 
 def _check_feasible(mu: MuVector, budget: BudgetConstraint):
@@ -433,29 +469,34 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     # iteration on that batch changes
     batches: dict[int, tuple] = {}
     trajectory: list[TrajectoryPoint] = []
+    net = _Net(model.factors, model.nonlinearity, fermi_cfg)
+    rho_at = _rho_ramp(sched)
 
     stop_reason = "iteration_cap"
-    for t in range(opt_cfg.max_iters):
-        start = (t * bs) % n_samples
-        if start not in batches:
-            batch = data[:, (start + np.arange(bs)) % n_samples]
-            logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-            batches[start] = (_teacher_terms(logits), model.factors[0].B @ batch)
-        teacher, u0 = batches[start]
+    # Overflow saturates a gate to exactly 0. Anywhere else in an iteration
+    # it makes the gradient infinite, which _loss_grad refuses, or the step,
+    # which the clip to the box bounds.
+    with np.errstate(over="ignore"):
+        for t in range(opt_cfg.max_iters):
+            start = (t * bs) % n_samples
+            if start not in batches:
+                batch = data[:, (start + np.arange(bs)) % n_samples]
+                logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
+                batches[start] = (_teacher_terms(logits), model.factors[0].B @ batch)
+            teacher, u0 = batches[start]
 
-        rho = rho_schedule(t, sched)
-        kl, g = _loss_grad(model.factors, model.nonlinearity, teacher, u0, mu, budget, rho,
-                           fermi_cfg)
-        new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
-        step_inf = float(np.max(np.abs(new_mu - mu.mu)))
-        mu.mu = new_mu
-        n_param = param_count_soft(mu, budget)
-        trajectory.append(TrajectoryPoint(iteration=t, mu=new_mu, rho=rho,
-                                          kl=kl, n_param=n_param))
-        violation = budget_violation(n_param, budget)
-        if step_inf < opt_cfg.mu_tol and violation < opt_cfg.constraint_tol:
-            stop_reason = "converged"
-            break
+            rho = rho_at(t)
+            kl, g = _loss_grad(net, teacher, u0, mu, budget, rho)
+            new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
+            step_inf = float(np.maximum.reduce(np.abs(new_mu - mu.mu)))
+            mu.mu = new_mu
+            n_param = param_count_soft(mu, budget)
+            trajectory.append(TrajectoryPoint(iteration=t, mu=new_mu, rho=rho,
+                                              kl=kl, n_param=n_param))
+            violation = budget_violation(n_param, budget)
+            if step_inf < opt_cfg.mu_tol and violation < opt_cfg.constraint_tol:
+                stop_reason = "converged"
+                break
 
     alloc = round_and_repair(mu, budget)
     alloc.stop_reason = stop_reason

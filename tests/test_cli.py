@@ -228,6 +228,43 @@ class TestFermigrad:
             == target - rep["achieved_params"] >= 0
 
 
+    def test_training_and_evaluation_draws(self, pipeline, tmp_path, monkeypatch):
+        _, teacher, calib = pipeline
+        seen = {}
+        optimize, evaluate = fg.optimize_ranks, tm.evaluate_allocation
+
+        def recording_optimize(model, data, *args):
+            seen["train"] = data
+            return optimize(model, data, *args)
+
+        def recording_evaluate(model, data, *args):
+            seen["eval"] = data
+            return evaluate(model, data, *args)
+
+        monkeypatch.setattr(fg, "optimize_ranks", recording_optimize)
+        monkeypatch.setattr(tm, "evaluate_allocation", recording_evaluate)
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--iters", "5",
+                    "--kl-samples", "48", "--seed", "8",
+                    "--out-ranks", str(tmp_path / "r.json")]) == EXIT_OK
+        monkeypatch.undo()
+        spec = mio.load_model_package(teacher).spec
+        assert np.array_equal(seen["train"], tm.gen_calibration(spec, 48, 8))
+        assert np.array_equal(seen["eval"], tm.gen_calibration(spec, 48, 9))
+
+    def test_overflow_outside_the_gates_is_a_numeric_error(self, pipeline, tmp_path,
+                                                            capsys):
+        # the penalty gradient overflows to inf: one JSON line, no warning
+        _, teacher, calib = pipeline
+        capsys.readouterr()
+        code = run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--n-scale", "5e-324",
+                    "--out-ranks", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        assert _one_error_line(capsys)["error"] == "NonFiniteGradient"
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestParabolicMode:
     """Parabolic (gauge-fixed) budgets through the CLI: the contract, not quality."""
 
@@ -714,6 +751,54 @@ class TestNonFiniteFlags:
             err = _one_error_line(capsys)
             assert err["error"] == "ValueError" and "(0, 1]" in err["message"]
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("cmd", ["fermigrad", "compare"])
+    def test_target_ratio_overflowing_the_target(self, pipeline, tmp_path, capsys, cmd):
+        # a finite ratio whose product with the dense count is not
+        _, teacher, calib = pipeline
+        argv = _consumer_argvs(teacher, calib, tmp_path)[cmd]
+        argv[argv.index("--target-ratio") + 1] = "1e308"
+        capsys.readouterr()
+        assert run(argv) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and "--target-ratio" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTooLargeToAllocate:
+    """A sample count numpy cannot allocate is a usage error of its flag, not a
+    traceback; any other MemoryError is not a usage error. The allocation is
+    made to raise: a real attempt may be killed, not refused."""
+
+    @staticmethod
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 4.66 TiB for an array with shape "
+                          "(64, 10000000000) and data type float64")
+
+    @pytest.mark.parametrize("cmd, flag", [("calibrate", "--samples"),
+                                           ("fermigrad", "--kl-samples"),
+                                           ("compare", "--samples")])
+    def test_sample_count_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                         cmd, flag):
+        _, teacher, calib = pipeline
+        monkeypatch.setattr(tm, "gen_calibration", self.refuse)
+        argv = {**_consumer_argvs(teacher, calib, tmp_path),
+                "calibrate": ["calibrate", "--model", str(teacher),
+                              "--out", str(tmp_path / "c")]}[cmd]
+        capsys.readouterr()
+        assert run(argv) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{flag} 512 is too large to allocate: Unable")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_elsewhere_is_not_a_usage_error(self, pipeline, tmp_path,
+                                                         monkeypatch):
+        _, teacher, calib = pipeline
+        monkeypatch.setattr(fg, "optimize_ranks", self.refuse)
+        with pytest.raises(MemoryError):
+            run(_consumer_argvs(teacher, calib, tmp_path)["fermigrad"])
 
 
 class TestFactorStore:

@@ -24,7 +24,8 @@ st = pytest.importorskip("hypothesis.strategies")
 EXIT_CODES = {0, 2, 3, 4, 5}
 # Edge values a flag's value is replaced by. 2**63 is one past int64 and far
 # beyond any size numpy can allocate; an --iters that large need not end.
-EDGE_VALUES = ["0", "-1", str(2**63), "nan", "inf", ""]
+# 1e308 is finite, but its product with a parameter count is not.
+EDGE_VALUES = ["0", "-1", str(2**63), "1e308", "nan", "inf", ""]
 # Values of another type a flag's value is retyped to.
 RETYPED = ["x", "1.5", "[]"]
 

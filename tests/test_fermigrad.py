@@ -331,6 +331,14 @@ class TestGradMu:
         with pytest.raises(DimensionMismatch, match="2 mu values for 3 layers"):
             grad_mu(model, teacher, batch, short, budget, 1.0, cfg)
 
+    @pytest.mark.parametrize("mu", [[[4.0], [7.0], [2.0]], 4.0])
+    def test_mu_not_one_value_per_layer_raises(self, mu):
+        # a column of 3 values broadcasts against the gate grid: refuse it
+        spec, model, X = small_model(seed=7)
+        cfg = FermiConfig(T=0.01, r_min=1)
+        with pytest.raises(DimensionMismatch, match=r"mu of shape \(.*\) for 3 layers"):
+            fg.soft_forward(model.factors, spec.nonlinearity, X[:, :8], mu, cfg)
+
     def test_nonfinite_raises(self):
         spec, model, X = small_model(seed=7)
         caps = spec.caps()
@@ -527,6 +535,57 @@ class TestLoopEquivalence:
         assert len(traj) == 12                           # 3 epochs of 4 batches
         assert len(teacher_runs) == 4
         assert B0.products == 4
+
+
+class TestPerRunSetUp:
+    """optimize_ranks builds what no iteration changes once per run; its gate
+    kernel and its overflow handling must behave as the public functions do."""
+
+    @pytest.mark.parametrize("mu", [
+        [9.3, 4.5, 2.25],          # inside every transition
+        [500.0, 500.0, 500.0],     # far above the caps: every gate exactly 1
+        [-500.0, -500.0, -500.0],  # far below: every gate exactly 0 (exp overflows)
+        [-500.0, 4.5, 500.0],
+    ])
+    def test_loop_gate_rows_equal_fermi_factors(self, mu):
+        spec, model, _ = small_model(seed=14, shapes=((24, 20), (12, 24), (6, 12)),
+                                     planted=(3, 4, 2))
+        caps = spec.caps()
+        assert len(set(caps.tolist())) == 3
+        cfg = FermiConfig(T=0.03, r_min=1)
+        net = fg._Net(model.factors, spec.nonlinearity, cfg)
+        mu = np.array(mu)
+        with np.errstate(over="ignore"):
+            gates = fg._gates(net.j, mu, net.widths)
+        for l, cap in enumerate(caps):
+            assert np.array_equal(gates[l, :cap], fermi_factors(mu[l], cap, cfg.T))
+        if mu[0] == 500.0:
+            assert np.all(gates == 1.0)
+        if mu[0] == -500.0:
+            assert np.all(gates[0] == 0.0)
+
+    def test_saturating_gates_warn_nothing(self):
+        # at T = 1e-4 a gate 1.7 indices above mu has an exponent past 709:
+        # exp overflows and the gate is exactly 0, with no RuntimeWarning
+        spec, model, X = small_model(seed=15)
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e6)
+        cfg = FermiConfig(T=1e-4, r_min=2)
+        opt = OptimizerConfig(step_size=2.0, max_iters=30, batch_size=16)
+        traj, _ = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt)
+        mu = traj[-1].mu
+        assert np.all(mu < spec.caps() - 3.0)
+        assert np.any(fermi_factors(mu, spec.caps(), cfg.T) == 0.0)
+
+    def test_overflow_elsewhere_is_a_non_finite_gradient(self):
+        # the penalty gradient rho * dev * slope / n_scale overflows to inf
+        spec, model, X = small_model(seed=15)
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()),
+            n_scale=5e-324)
+        opt = OptimizerConfig(max_iters=5, batch_size=16)
+        with pytest.raises(NonFiniteGradient):
+            optimize_ranks(model, X, budget, FermiConfig(r_min=2), RhoSchedule(), opt)
 
 
 class TestRoundAndRepair:
