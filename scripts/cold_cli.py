@@ -5,12 +5,13 @@
 Each command runs as ``python -m lrcompress.cli`` with the tree's src/ on
 PYTHONPATH, one BLAS thread, in a new temporary directory per chain, so its
 time includes interpreter start and imports: what a user of the CLI waits
-for. The chain is the benchmark's desk chain on teacher 0: gen-teacher,
-calibrate (512 samples), fermigrad (target 0.6, step 10, up to 1500
-iterations), compress --pivga and compare (uniform and brute force, grid 8).
-Every pair runs the chain once from each tree; the tree that goes first
-rotates from pair to pair. FILE gets, per tree, the median seconds of each
-command and of the whole chain, and every sample.
+for. The chain is the benchmark's desk chain on teacher 0 in linear mode:
+gen-teacher, calibrate, fermigrad, compress --pivga and compare, with the
+flags of ``desk_configs`` in perfbench/workloads.py of this checkout, as
+scripts/equiv_ab.py runs them. Every pair runs the chain once from each
+tree; the tree that goes first rotates from pair to pair. FILE gets, per
+tree, the median seconds of each command and of the whole chain, and
+every sample.
 """
 
 from __future__ import annotations
@@ -25,34 +26,27 @@ import time
 from pathlib import Path
 from statistics import median
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import equiv_ab  # noqa: E402  (also puts this checkout's perfbench on sys.path)
+from perfbench import workloads as wl  # noqa: E402
+
 COMMANDS = ("gen-teacher", "calibrate", "fermigrad", "compress", "compare")
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def chain_argvs(work: Path) -> list[list[str]]:
-    """The five desk-chain commands, writing under ``work``."""
-    T, C, R = str(work / "teacher"), str(work / "calib"), str(work / "ranks.json")
-    common = ["--model", T, "--calib", C]
-    return [
-        ["gen-teacher", "--out", T, "--seed", "0"],
-        ["calibrate", "--model", T, "--samples", "512", "--seed", "11", "--out", C],
-        ["fermigrad", *common, "--target-ratio", "0.6", "--mode", "linear", "--step", "10",
-         "--iters", "1500", "--kl-samples", "512", "--seed", "11", "--out-ranks", R,
-         "--trajectory", str(work / "trajectory.csv"), "--report", str(work / "fg.json")],
-        ["compress", *common, "--ranks", R, "--pivga", "--out", str(work / "student"),
-         "--report", str(work / "compress.json")],
-        ["compare", *common, "--ranks", f"optimized={R}", "--uniform", "--brute-force",
-         "--grid-step", "8", "--target-ratio", "0.6", "--r-min", "8", "--seed", "1",
-         "--out", str(work / "compare.json")],
-    ]
+def chain_argvs() -> list[list[str]]:
+    """The five desk-chain commands, with paths relative to the chain's directory."""
+    c = wl.desk_configs(equiv_ab.COMPARE_SEED)[0]
+    return [*equiv_ab.producer_argvs(".", c),
+            *equiv_ab.desk_consumer_argvs(".", ".", c, "linear")]
 
 
 def time_chain(tree: Path) -> dict[str, float]:
     """Wall seconds of each command of one chain run from ``tree``."""
-    env = {**os.environ, **{v: "1" for v in THREAD_VARS}, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, **{v: "1" for v in equiv_ab.THREAD_VARS},
+           "PYTHONPATH": str(tree / "src")}
     times = {}
     with tempfile.TemporaryDirectory(prefix="cold_cli-") as tmp:
-        for name, argv in zip(COMMANDS, chain_argvs(Path(tmp))):
+        for name, argv in zip(COMMANDS, chain_argvs()):
             t0 = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "lrcompress.cli", *argv], env=env,
                                   cwd=tmp, capture_output=True, text=True)

@@ -83,6 +83,12 @@ def consumer_argvs(d: str, src: str, fermi: list, compare: list) -> list[list[st
     ]
 
 
+def desk_consumer_argvs(d: str, src: str, c, mode: str) -> list[list[str]]:
+    """``consumer_argvs`` of desk config ``c``, with fermigrad and compare in ``mode``."""
+    return consumer_argvs(d, src, wl._with_flag(c.fermigrad, "--mode", mode),
+                          [*c.compare, "--mode", mode])
+
+
 def chain_argvs(teachers, modes, fixture: bool):
     """The directories the chains write into and every command of the chains,
     in order, with paths relative to the work directory."""
@@ -94,8 +100,7 @@ def chain_argvs(teachers, modes, fixture: bool):
         argvs += producer_argvs(d, c)
         for mode in modes:
             dirs.append(f"{d}/{mode}")
-            argvs += consumer_argvs(f"{d}/{mode}", d, wl._with_flag(c.fermigrad, "--mode", mode),
-                                    [*c.compare, "--mode", mode])
+            argvs += desk_consumer_argvs(f"{d}/{mode}", d, c, mode)
     if fixture:
         c, = wl.fixture_configs(COMPARE_SEED, Path(FIXTURE_DIR, "spec.json"))
         dirs.append(FIXTURE_DIR)

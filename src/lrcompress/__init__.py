@@ -40,11 +40,9 @@ from .fermigrad import (
     grad_mu,
     kl_divergence,
     optimize_ranks,
-    param_count_soft,
     penalty_loss,
     rho_schedule,
     round_and_repair,
-    soft_truncate_effective,
     uniform_ranks,
 )
 from .linalg import SvdResult, cholesky_whiten, lu_row_pivots, svd_descending

@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteGradient,
 )
 from .linalg import as_matrix
-from .svdcompress import LowRankFactors
 
 # activation -> (forward, derivative as a function of the activated output)
 ACTIVATIONS = {
@@ -163,27 +162,20 @@ class TrajectoryPoint:
     n_param: float
 
 
-def fermi_factors(mu, n_cap, temperature: float) -> np.ndarray:
-    """Logistic soft-truncation gates F_j = 1/(1 + exp((j - mu)/(n_cap*T))).
+def fermi_factors(mu: float, n_cap: int, temperature: float) -> np.ndarray:
+    """One layer's n_cap soft-truncation gates F_j = 1/(1 + exp((j - mu)/(n_cap*T))).
 
     F crosses 0.5 exactly at j = mu and transitions over a width of about
     n_cap * temperature index units. Overflow saturates to exactly 0 or 1.
-
-    A scalar ``mu`` and ``n_cap`` give the n_cap gates of one layer. Vectors
-    of equal length give one row per layer, padded with zeros to the largest
-    cap; row l up to its cap equals the scalar call for (mu[l], n_cap[l]).
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    mu = np.asarray(mu, dtype=np.float64)
-    caps = np.asarray(n_cap, dtype=np.float64)
-    if mu.ndim > 1 or mu.shape != caps.shape:
-        raise DimensionMismatch(f"mu shape {mu.shape} and cap shape {caps.shape} differ")
-    j = np.arange(caps.max(initial=0))
-    caps = caps[..., None]
+    if np.ndim(mu) or np.ndim(n_cap):
+        raise DimensionMismatch(
+            f"mu and n_cap must be scalars, got shapes {np.shape(mu)} and {np.shape(n_cap)}")
     with np.errstate(over="ignore"):
-        F = _gates(j, mu, caps * temperature)
-    return np.where(j < caps, F, 0.0)
+        return _gates(np.arange(n_cap), np.asarray(mu, dtype=np.float64),
+                      float(n_cap) * temperature)
 
 
 def _gates(j, mu, widths) -> np.ndarray:
@@ -192,17 +184,6 @@ def _gates(j, mu, widths) -> np.ndarray:
     Far below mu exp overflows to inf and the gate is exactly 0, so callers
     ignore overflow."""
     return 1.0 / (1.0 + np.exp((j - mu[..., None]) / widths))
-
-
-def soft_truncate_effective(f: LowRankFactors, mu_l: float, cfg: FermiConfig) -> np.ndarray:
-    """Materialize A @ diag(F) @ B for a full-rank factor pair."""
-    F = fermi_factors(mu_l, f.rank, cfg.T)
-    return (f.A * F) @ f.B
-
-
-def param_count_soft(mu: MuVector, budget: BudgetConstraint) -> float:
-    """Continuous parameter count: mu.a + N_inc, minus sum(mu^2) in parabolic mode."""
-    return float(budget.count(mu.mu))
 
 
 def budget_violation(n_param: float, budget: BudgetConstraint) -> float:
@@ -490,7 +471,7 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
             new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
             step_inf = float(np.maximum.reduce(np.abs(new_mu - mu.mu)))
             mu.mu = new_mu
-            n_param = param_count_soft(mu, budget)
+            n_param = float(budget.count(new_mu))
             trajectory.append(TrajectoryPoint(iteration=t, mu=new_mu, rho=rho,
                                               kl=kl, n_param=n_param))
             violation = budget_violation(n_param, budget)
@@ -539,36 +520,28 @@ def uniform_ranks(shapes, budget: BudgetConstraint, r_min: int = 1) -> RankAlloc
     """Uniform-compression baseline: ranks_l = floor(kappa * N_l), one kappa for all.
 
     The largest kappa in (0, 1] keeping the discrete count at or under the
-    target is selected exactly (kappa candidates are the rationals r / N_l),
-    then leftover budget is spent greedily, smallest marginal cost first.
+    target is found exactly by walking kappa down its breakpoints r / N_l:
+    starting at the caps (kappa = 1), each step lowers by one every layer
+    above r_min whose rank / N_l is the largest. Then leftover budget is
+    spent greedily, smallest marginal cost first.
     """
-    from fractions import Fraction
-
+    if r_min < 1:
+        raise ValueError(f"r_min must be >= 1, got {r_min}")
     caps = np.array([min(m, n) for (m, n) in shapes], dtype=np.int64)
     if np.any(caps < r_min):
         raise InfeasibleBudget(f"a layer cap is below r_min={r_min}")
 
-    def ranks_for(frac: Fraction) -> np.ndarray:
-        raw = np.array([(frac.numerator * int(c)) // frac.denominator for c in caps])
-        return np.clip(raw, r_min, caps).astype(np.int64)
-
-    candidates = sorted(
-        {Fraction(r, int(c)) for c in caps for r in range(r_min, int(c) + 1)},
-        reverse=True,
-    )
-    chosen = None
-    for frac in candidates:
-        ranks = ranks_for(frac)
-        if count_params(ranks, budget) <= budget.n_target:
-            chosen = ranks
-            break
-    if chosen is None:
-        raise InfeasibleBudget(
-            f"even kappa for r_min={r_min} exceeds target {budget.n_target}"
-        )
-
-    ranks = chosen
+    ranks = caps.copy()
     achieved = count_params(ranks, budget)
+    while achieved > budget.n_target:
+        # as doubles, distinct ratios r / N_l (N_l < 2^26) never round together
+        ratio = np.where(ranks > r_min, ranks / caps, 0.0)
+        if not ratio.any():
+            raise InfeasibleBudget(
+                f"even kappa for r_min={r_min} exceeds target {budget.n_target}")
+        ranks[ratio == ratio.max()] -= 1
+        achieved = count_params(ranks, budget)
+
     while True:
         cost = budget.slope(ranks + 0.5)
         cost[ranks >= caps] = np.inf

@@ -530,15 +530,21 @@ class TestMalformedInput:
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
 
 
-    @pytest.mark.parametrize("flags", [["--grid-step", "0"], ["--grid-step", "-1"],
-                                       ["--r-min", "0"]])
+    @pytest.mark.parametrize("flags", [["--brute-force", "--grid-step", "0"],
+                                       ["--brute-force", "--grid-step", "-1"],
+                                       ["--brute-force", "--r-min", "0"],
+                                       ["--uniform", "--r-min", "0"]])
     def test_brute_force_grid_below_one_is_usage_error(self, pipeline, tmp_path, capsys,
                                                         flags):
         _, teacher, calib = pipeline
-        code = run(["compare", "--model", str(teacher), "--calib", str(calib), "--brute-force",
-                    "--target-ratio", "0.6", *flags])
+        out = tmp_path / "cmp.json"
+        code = run(["compare", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", *flags, "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "must be >= 1" in _one_error_line(capsys)["message"]
+        message = _one_error_line(capsys)["message"]
+        assert "must be >= 1" in message
+        assert flags[1].lstrip("-").replace("-", "_") in message
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd, flags", [("compress", ["--out", "s"]), ("compare", [])])
     def test_ranks_file_of_wrong_length(self, pipeline, tmp_path, capsys, monkeypatch,

@@ -1,5 +1,7 @@
 """Fermi gates, penalty machinery, exact gradients, and the rank optimizer."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,9 @@ from lrcompress import (
     kl_divergence,
     optimize_ranks,
     param_count,
-    param_count_soft,
     penalty_loss,
-    plain_svd_compress,
     rho_schedule,
     round_and_repair,
-    soft_truncate_effective,
     uniform_ranks,
 )
 from lrcompress import fermigrad as fg
@@ -74,24 +73,18 @@ class TestFermiFactors:
         with pytest.raises(ValueError):
             fermi_factors(5.0, 10, 0.0)
 
-    @pytest.mark.parametrize("caps", [[64, 64, 64], [5, 64, 13], [1, 2, 40]])
-    def test_vector_rows_equal_scalar_calls(self, caps):
-        mu = np.array([3.25, 40.0, -900.0])   # the last row saturates to 0
-        F = fermi_factors(mu, caps, 0.05)
-        assert F.shape == (3, max(caps))
-        for row, m, n in zip(F, mu, caps):
-            assert np.array_equal(row[:n], fermi_factors(m, n, 0.05))
-            assert np.all(row[n:] == 0.0)
+    def test_one_layer_only(self):
         with pytest.raises(DimensionMismatch):
-            fermi_factors(mu, caps[:2], 0.05)
+            fermi_factors(np.array([3.25, 40.0]), 64, 0.05)
+        with pytest.raises(DimensionMismatch):
+            fermi_factors(3.25, [64, 64], 0.05)
 
     def test_matches_expit(self):
         from scipy.special import expit
 
         # mu spans both saturation ends: gates of exactly 0 and exactly 1
         mu = np.linspace(-900.0, 960.0, 1861)
-        caps = np.full(mu.shape, 64)
-        F = fermi_factors(mu, caps, 1.0 / 64)      # N*T = 1: exponent j - mu
+        F = np.array([fermi_factors(m, 64, 1.0 / 64) for m in mu])  # N*T = 1: exponent j - mu
         ref = expit(mu[:, None] - np.arange(64.0))
         assert np.any(F == 0.0) and np.any(F == 1.0)
         assert np.array_equal(F == 0.0, ref == 0.0) and np.array_equal(F == 1.0, ref == 1.0)
@@ -101,42 +94,6 @@ class TestFermiFactors:
         assert np.all(np.abs(F - ref) <= 4 * eps * np.maximum(F, ref))
 
 
-class TestSoftTruncate:
-    def setup_method(self):
-        rng = np.random.default_rng(50)
-        W = rng.standard_normal((12, 10))
-        self.f = plain_svd_compress(W, 10)
-        self.ab = self.f.reconstruct()
-
-    def test_saturated_equals_full_product(self):
-        cfg = FermiConfig(T=0.01, r_min=1)
-        # mu far above every index: all gates ~1
-        out = soft_truncate_effective(self.f, 50.0, cfg)
-        assert np.linalg.norm(out - self.ab) <= 1e-10 * np.linalg.norm(self.ab)
-
-    def test_half_rank_matches_hard_truncation_at_midpoint(self):
-        # the gate at j = mu is exactly 1/2, so the hard-truncation match
-        # holds at mu = r - 0.5 (midpoint between kept and dropped indices)
-        cfg = FermiConfig(T=1e-5, r_min=1)
-        r = 6
-        hard = self.f.truncated(r).reconstruct()
-        soft = soft_truncate_effective(self.f, r - 0.5, cfg)
-        assert np.linalg.norm(soft - hard) <= 1e-6 * np.linalg.norm(self.ab)
-
-    def test_integer_mu_leaves_half_gate(self):
-        cfg = FermiConfig(T=1e-5, r_min=1)
-        r = 6
-        hard = self.f.truncated(r).reconstruct()
-        soft = soft_truncate_effective(self.f, float(r), cfg)
-        half_dir = 0.5 * np.outer(self.f.A[:, r], self.f.B[r, :])
-        assert np.linalg.norm(soft - hard - half_dir) <= 1e-6 * np.linalg.norm(self.ab)
-
-    def test_mu_below_zero_kills_everything(self):
-        cfg = FermiConfig(T=0.01, r_min=1)
-        out = soft_truncate_effective(self.f, -2.0, cfg)
-        assert np.linalg.norm(out) <= 1e-6 * np.linalg.norm(self.ab)
-
-
 class TestParamCountSoft:
     def f1024(self, mode):
         return BudgetConstraint.from_shapes([(1024, 1024), (1024, 1024)],
@@ -144,11 +101,11 @@ class TestParamCountSoft:
 
     def test_linear_full_rank(self):
         mu = MuVector([1024.0, 1024.0], [1024, 1024])
-        assert param_count_soft(mu, self.f1024("linear")) == 4_194_304
+        assert float(self.f1024("linear").count(mu.mu)) == 4_194_304
 
     def test_parabolic_full_rank_is_dense_size(self):
         mu = MuVector([1024.0, 1024.0], [1024, 1024])
-        assert param_count_soft(mu, self.f1024("parabolic")) == 2_097_152
+        assert float(self.f1024("parabolic").count(mu.mu)) == 2_097_152
 
     def test_integer_mu_matches_discrete_count(self):
         shapes = [(16, 24), (13, 16), (40, 13)]
@@ -157,7 +114,7 @@ class TestParamCountSoft:
                                                   n_inc=17)
             ranks = np.array([5, 9, 2])
             mu = MuVector(ranks.astype(float), [min(m, n) for m, n in shapes])
-            soft = param_count_soft(mu, budget)
+            soft = float(budget.count(mu.mu))
             discrete = sum(
                 param_count(m, n, int(r), mode).decomposed
                 for (m, n), r in zip(shapes, ranks)
@@ -289,7 +246,7 @@ class TestGradMu:
         mu = MuVector(caps.astype(float), caps, 1)
         rho = 3.0
         g = grad_mu(model, teacher, batch, mu, budget, rho, cfg)
-        dev = param_count_soft(mu, budget) - budget.n_target
+        dev = float(budget.count(mu.mu)) - budget.n_target
         expected = rho * dev * budget.a / budget.n_scale
         assert np.allclose(g, expected, rtol=0, atol=1e-8)
 
@@ -307,7 +264,7 @@ class TestGradMu:
         def loss(m):
             logits = fg.soft_forward(model.factors, spec.nonlinearity, batch, m, cfg)
             kl = kl_divergence(teacher.T, logits.T)
-            n_par = param_count_soft(MuVector(m, caps, 1), budget)
+            n_par = float(budget.count(m))
             return kl + penalty_loss(n_par, budget, 2.0)
 
         h = 1e-3
@@ -575,7 +532,7 @@ class TestPerRunSetUp:
         traj, _ = optimize_ranks(model, X, budget, cfg, RhoSchedule(), opt)
         mu = traj[-1].mu
         assert np.all(mu < spec.caps() - 3.0)
-        assert np.any(fermi_factors(mu, spec.caps(), cfg.T) == 0.0)
+        assert any(np.any(fermi_factors(m, cap, cfg.T) == 0.0) for m, cap in zip(mu, spec.caps()))
 
     def test_overflow_elsewhere_is_a_non_finite_gradient(self):
         # the penalty gradient rho * dev * slope / n_scale overflows to inf
@@ -648,6 +605,37 @@ class TestRoundAndRepair:
             round_and_repair(MuVector(bad, [64] * 4, r_min=1), budget)
 
 
+def reference_uniform_ranks(shapes, budget, r_min):
+    """uniform_ranks by scanning every kappa candidate r / N_l: build one
+    Fraction per (r, N_l) pair, sort them in descending order and take the
+    first whose ranks floor(kappa * N_l), clipped to [r_min, N_l], fit the
+    budget; then the same greedy fill."""
+    caps = np.array([min(m, n) for (m, n) in shapes], dtype=np.int64)
+    if np.any(caps < r_min):
+        raise InfeasibleBudget(f"a layer cap is below r_min={r_min}")
+    candidates = sorted({Fraction(r, int(c)) for c in caps for r in range(r_min, int(c) + 1)},
+                        reverse=True)
+    for frac in candidates:
+        raw = np.array([(frac.numerator * int(c)) // frac.denominator for c in caps])
+        ranks = np.clip(raw, r_min, caps).astype(np.int64)
+        if fg.count_params(ranks, budget) <= budget.n_target:
+            break
+    else:
+        raise InfeasibleBudget(f"even kappa for r_min={r_min} exceeds target {budget.n_target}")
+    achieved = fg.count_params(ranks, budget)
+    while True:
+        cost = budget.slope(ranks + 0.5)
+        cost[ranks >= caps] = np.inf
+        cost[achieved + cost > budget.n_target] = np.inf
+        pick = int(np.argmin(cost))
+        if not np.isfinite(cost[pick]):
+            break
+        ranks[pick] += 1
+        achieved = fg.count_params(ranks, budget)
+    return fg.RankAllocation(ranks=ranks, achieved_params=achieved,
+                             target_params=budget.n_target)
+
+
 class TestUniformRanks:
     def test_two_equal_layers_fixture(self):
         budget = BudgetConstraint.from_shapes([(1024, 1024), (1024, 1024)],
@@ -686,6 +674,42 @@ class TestUniformRanks:
         budget = BudgetConstraint.from_shapes([(8, 8)], n_target=10, mode="linear")
         with pytest.raises(InfeasibleBudget):
             uniform_ranks([(8, 8)], budget, r_min=2)
+
+    def test_r_min_below_one_refused(self):
+        # r_min = 0 would otherwise allow rank-0 layers: [2, 0, 0, 0] here
+        budget = BudgetConstraint.from_shapes([(64, 64)] * 4, n_target=300, mode="linear")
+        with pytest.raises(ValueError, match="r_min must be >= 1"):
+            uniform_ranks([(64, 64)] * 4, budget, r_min=0)
+
+    @pytest.mark.parametrize("mode", ["linear", "parabolic"])
+    def test_walk_matches_fraction_scan(self, mode):
+        rng = np.random.default_rng(1401)
+        cases = infeasible = 0
+        for r_min in range(1, 9):
+            for _ in range(10):
+                shapes = [tuple(int(d) for d in rng.integers(r_min, 25, size=2))
+                          for _ in range(rng.integers(1, 6))]
+                n_inc = int(rng.integers(0, 40))
+                full = BudgetConstraint.from_shapes(shapes, 10**9, mode=mode, n_inc=n_inc)
+                caps = [min(s) for s in shapes]
+                lo = fg.count_params([r_min] * len(shapes), full)
+                hi = fg.count_params(caps, full)
+                targets = {lo - 1, lo, hi, *rng.integers(lo, hi + 1, size=3).tolist()}
+                for target in sorted(t for t in targets if t > n_inc):
+                    budget = BudgetConstraint.from_shapes(shapes, target, mode=mode,
+                                                          n_inc=n_inc)
+                    try:
+                        ref = reference_uniform_ranks(shapes, budget, r_min)
+                    except InfeasibleBudget:
+                        infeasible += 1
+                        with pytest.raises(InfeasibleBudget):
+                            uniform_ranks(shapes, budget, r_min)
+                        continue
+                    alloc = uniform_ranks(shapes, budget, r_min)
+                    assert alloc.ranks.tolist() == ref.ranks.tolist()
+                    assert alloc.achieved_params == ref.achieved_params
+                    cases += 1
+        assert cases > 300 and infeasible > 30
 
 
 class TestValidation:
