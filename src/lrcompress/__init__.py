@@ -72,6 +72,7 @@ from .toymodels import (
     build_teacher,
     default_spec,
     evaluate_allocation,
+    evaluate_allocations,
     gen_calibration,
 )
 

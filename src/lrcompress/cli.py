@@ -44,8 +44,8 @@ EXIT_NUMERIC = 5
 _EPILOG = """exit codes:
   0  success
   2  usage error (unknown, missing or malformed flags, a flag value out of range,
-     a sample count too large to allocate, or an output path that is, or lies
-     inside, an input package directory or another output)
+     a sample count or spec layer shapes too large to allocate, or an output path
+     that is, or lies inside, an input package directory or another output)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
      a calibration package made for another teacher or without factors)
@@ -149,7 +149,10 @@ def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
 
 def cmd_gen_teacher(args) -> int:
     spec = _load_spec(args.spec, args.seed)
-    model = tm.build_teacher(spec)
+    try:
+        model = tm.build_teacher(spec)
+    except MemoryError as exc:
+        raise ValueError(f"--spec {args.spec}: layer shapes too large to allocate: {exc}") from None
     mio.save_model_package(args.out, spec, model.dense_weights, n_inc=model.n_inc)
     print(json.dumps({"out": args.out, "layers": len(model.dense_weights),
                       "dense_params": spec.dense_param_count(model.n_inc),
@@ -294,7 +297,6 @@ def cmd_compare(args) -> int:
     entries = [(label, _read_ranks(path, model.spec.caps())) for label, path in ranks_files]
     timings.lap("load")
 
-    terms = tm.teacher_terms(model, data)
     budget = None
     if args.target_params is not None or args.target_ratio is not None:
         budget = _budget_from_args(args, model.spec, model.n_inc)
@@ -303,18 +305,15 @@ def cmd_compare(args) -> int:
             entries.append(("uniform", uni.ranks))
         if args.brute_force:
             bf = tm.brute_force_rank_search(model, data, budget,
-                                            grid_step=args.grid_step, r_min=args.r_min,
-                                            terms=terms)
+                                            grid_step=args.grid_step, r_min=args.r_min)
             entries.append(("brute-force", bf.ranks))
     elif args.uniform or args.brute_force:
         raise ValueError("--uniform/--brute-force need --target-params or --target-ratio")
     if not entries:
         raise ValueError("nothing to compare: give --ranks and/or --uniform")
 
-    rows = []
-    for label, ranks in entries:
-        rep = tm.evaluate_allocation(model, data, ranks, terms)
-        rows.append({"label": label, **rep.to_dict()})
+    reports = tm.evaluate_allocations(model, data, [ranks for _, ranks in entries])
+    rows = [{"label": label, **rep.to_dict()} for (label, _), rep in zip(entries, reports)]
     timings.lap("evaluate")
     report = {
         "command": "compare",

@@ -265,6 +265,10 @@ def load_model_package(in_dir) -> LoadedPackage:
         files = check_fields(entry["files"], f"{where} files",
                              **dict.fromkeys(_LAYER_FILES[kind], "str"))
         m, n = shape = tuple(entry["shape"])
+        if kind != "dense":
+            r = check_fields(entry, where, rank="int")["rank"]
+            if not 1 <= r <= min(m, n):
+                raise PackageFormatError(f"{where}: rank {r} outside [1, {min(m, n)}]")
         if kind == "dense":
             payload = read_matrix(src / files["W"])
             if payload.shape != shape:
@@ -272,13 +276,11 @@ def load_model_package(in_dir) -> LoadedPackage:
                     f"{entry['name']}: file shape {payload.shape} != manifest {shape}"
                 )
         elif kind == "lowrank":
-            r = check_fields(entry, where, rank="int")["rank"]
             A, B = read_matrix(src / files["A"]), read_matrix(src / files["B"])
             if A.shape != (m, r) or B.shape != (r, n):
                 raise PackageFormatError(f"{entry['name']}: factor shapes disagree with manifest")
             payload = LowRankFactors(A=A, B=B)
         else:
-            r = check_fields(entry, where, rank="int")["rank"]
             Cmat, D = read_matrix(src / files["C"]), read_matrix(src / files["D"])
             if Cmat.shape != (m, r) or D.shape != (r, n - r):
                 raise PackageFormatError(

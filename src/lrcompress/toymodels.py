@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fermigrad import BudgetConstraint, RankAllocation, count_params
 from .linalg import as_matrix, cholesky_whiten
-from .svdcompress import CalibState, accumulate_calibration, data_aware_svd
+from .svdcompress import data_aware_svd
 
 # Condition number of the calibration input covariance.
 CALIB_COND = 100.0
@@ -56,6 +56,10 @@ class ToyModelSpec:
     def __post_init__(self):
         shapes = [tuple(s) for s in self.layer_shapes]
         self.layer_shapes = shapes
+        if not shapes:
+            raise DimensionMismatch("no layers")
+        if not np.isscalar(self.spectrum_decay) and len(self.spectrum_decay) != len(shapes):
+            raise DimensionMismatch("one spectrum_decay per layer required")
         if len(self.planted_ranks) != len(shapes):
             raise DimensionMismatch("one planted rank per layer required")
         for l in range(len(shapes) - 1):
@@ -81,6 +85,14 @@ class ToyModelSpec:
             raise ValueError(f"noise_floor must be non-negative and finite, got {self.noise_floor}")
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
+        for l in range(len(shapes)):
+            s = self._spectrum(l)
+            if not (np.isfinite(s).all() and s[0] > 0):
+                raise ValueError(
+                    f"layer {l}: spectrum_decay {self.decay_for(l)}, noise_floor "
+                    f"{self.noise_floor} and signal_gain {self.signal_gain} give a spectrum "
+                    "that is not finite with a positive leading value"
+                )
 
     @property
     def input_dim(self) -> int:
@@ -90,6 +102,23 @@ class ToyModelSpec:
         if np.isscalar(self.spectrum_decay):
             return float(self.spectrum_decay)
         return float(self.spectrum_decay[l])
+
+    def _spectrum(self, l: int) -> np.ndarray:
+        """Layer l's singular values, descending, as ``build_teacher`` plants them.
+
+        An overflow is left to the caller's finiteness check, without a warning.
+        """
+        m, n = self.layer_shapes[l]
+        k = min(m, n)
+        r_p = self.planted_ranks[l]
+        s = np.empty(k)
+        j = np.arange(k, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s[:r_p] = np.exp(-self.decay_for(l) * j[:r_p] / r_p)
+            s[r_p:] = self.noise_floor * s[0]
+            s = np.sort(s)[::-1]
+            s *= self.signal_gain * np.sqrt(n / np.sum(s * s))
+        return s
 
     def caps(self) -> np.ndarray:
         return np.array([min(m, n) for (m, n) in self.layer_shapes], dtype=np.int64)
@@ -122,11 +151,6 @@ class ToyModelSpec:
                     "output_dim": "int or null", "nonlinearity": "str", "seed": "int",
                     "signal_gain": "number"}
         check_fields(d, where, **{k: kind for k, kind in optional.items() if k in d})
-        n_layers = len(d["layer_shapes"])
-        if n_layers == 0:
-            raise PackageFormatError(f"{where}: no layers")
-        if isinstance(d.get("spectrum_decay"), list) and len(d["spectrum_decay"]) != n_layers:
-            raise PackageFormatError(f"{where}: one spectrum_decay per layer required")
         try:
             return cls(**d)
         except (TypeError, ValueError, DimensionMismatch) as exc:
@@ -187,14 +211,7 @@ def build_teacher(spec: ToyModelSpec) -> ToyModel:
         rng = np.random.default_rng([spec.seed, l])
         U = _seeded_orthonormal(rng, m, k)
         V = _seeded_orthonormal(rng, n, k)
-        r_p = spec.planted_ranks[l]
-        s = np.empty(k)
-        j = np.arange(k, dtype=np.float64)
-        s[:r_p] = np.exp(-spec.decay_for(l) * j[:r_p] / r_p)
-        s[r_p:] = spec.noise_floor * s[0]
-        s = np.sort(s)[::-1]
-        s *= spec.signal_gain * np.sqrt(n / np.sum(s * s))
-        weights.append((U * s) @ V.T)
+        weights.append((U * spec._spectrum(l)) @ V.T)
     return ToyModel(spec=spec, dense_weights=weights)
 
 
@@ -225,11 +242,6 @@ def attach_data_aware_factors(model: ToyModel, X) -> ToyModel:
     round-off), so hard truncation of their leading slices is the rank-r
     data-aware compression of each layer.
     """
-    X = as_matrix(X, "X")
-    if X.shape[0] != model.spec.input_dim:
-        raise DimensionMismatch(
-            f"calibration width {X.shape[0]}, model expects {model.spec.input_dim}"
-        )
     return attach_factors_from_calibration(model, layer_calibration_matrices(model, X))
 
 
@@ -253,21 +265,25 @@ def attach_factors_from_calibration(model: ToyModel, mats) -> ToyModel:
 
 def layer_calibration_matrices(model: ToyModel, X) -> list:
     """Per-layer input second-moment matrices C_l = H_l H_l^T along the network."""
-    X = as_matrix(X, "X")
-    return [accumulate_calibration(CalibState.empty(h.shape[0]), h).C
-            for h in fermigrad.layer_inputs(model.dense_weights, model.nonlinearity, X)]
+    return [h @ h.T for h in fermigrad.layer_inputs(model.dense_weights, model.nonlinearity,
+                                                   _model_input(model, X))]
 
 
-def _factored_input(model: ToyModel, X) -> np.ndarray:
-    """``X`` as a matrix, after checking the model has factors and ``X`` its input width."""
-    if model.factors is None:
-        raise ValueError("model has no factors; call attach_data_aware_factors first")
+def _model_input(model: ToyModel, X) -> np.ndarray:
+    """``X`` as a matrix, after checking it has the model's input width."""
     X = as_matrix(X, "X")
     if X.shape[0] != model.spec.input_dim:
         raise DimensionMismatch(
             f"input width {X.shape[0]}, model expects {model.spec.input_dim}"
         )
     return X
+
+
+def _factored_input(model: ToyModel, X) -> np.ndarray:
+    """``X`` as a matrix, after checking the model has factors and ``X`` its input width."""
+    if model.factors is None:
+        raise ValueError("model has no factors; call attach_data_aware_factors first")
+    return _model_input(model, X)
 
 
 @dataclass
@@ -290,47 +306,38 @@ class AllocationReport:
         }
 
 
-def teacher_terms(model: ToyModel, data):
-    """The dense teacher's output probabilities and their logs on ``data``,
-    classes x samples, reusable by every student scored on that data."""
+def _teacher_pass(model: ToyModel, data: np.ndarray):
+    """The dense teacher's (p, log p) on ``data``, classes x samples."""
     teacher = fermigrad.dense_forward(model.dense_weights, model.nonlinearity, data)
     return fermigrad._teacher_terms(teacher)
 
 
-def _checked_terms(model: ToyModel, data: np.ndarray, terms):
-    """``terms`` after checking it has one column per sample of ``data``, or the
-    ``teacher_terms`` of ``data`` when None. Terms of other data with the same
-    sample count cannot be told apart here and score wrongly."""
-    if terms is None:
-        return teacher_terms(model, data)
-    expected = (model.spec.output_dim, data.shape[1])
-    shapes = [np.shape(t) for t in terms]
-    if shapes != [expected, expected]:
-        raise DimensionMismatch(f"teacher terms of shapes {shapes}, data needs 2 x {expected}")
-    return terms
-
-
-def evaluate_allocation(model: ToyModel, data, ranks, terms=None) -> AllocationReport:
-    """KL against the dense teacher plus parameter counts and layer residuals.
-
-    ``terms`` is ``teacher_terms(model, data)``, computed here when not given.
-    """
+def evaluate_allocations(model: ToyModel, data, allocations) -> list[AllocationReport]:
+    """KL against the dense teacher plus parameter counts and layer residuals,
+    for each rank tuple of ``allocations``; the teacher runs once for all."""
     data = _factored_input(model, data)
-    ranks = np.asarray(ranks, dtype=np.int64)
     caps = model.spec.caps()
-    if np.any(ranks < 1) or np.any(ranks > caps):
-        raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
-    terms = _checked_terms(model, data, terms)
-    student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
-    kl = fermigrad._kl_against(terms, student)
     shapes = model.spec.layer_shapes
-    lin = sum(pivga.param_count(m, n, int(r), "linear").decomposed
-              for (m, n), r in zip(shapes, ranks)) + model.n_inc
-    par = sum(pivga.param_count(m, n, int(r), "parabolic").decomposed
-              for (m, n), r in zip(shapes, ranks)) + model.n_inc
-    return AllocationReport(ranks=ranks, kl=kl, params_linear=lin,
-                            params_parabolic=par,
-                            per_layer_residual=layer_residuals(model, ranks))
+    terms = _teacher_pass(model, data)
+    reports = []
+    for ranks in allocations:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if np.any(ranks < 1) or np.any(ranks > caps):
+            raise DimensionMismatch(f"ranks {ranks.tolist()} outside boxes {caps.tolist()}")
+        student = fermigrad.hard_forward(model.factors, model.nonlinearity, data, ranks)
+        lin = sum(pivga.param_count(m, n, int(r), "linear").decomposed
+                  for (m, n), r in zip(shapes, ranks)) + model.n_inc
+        par = sum(pivga.param_count(m, n, int(r), "parabolic").decomposed
+                  for (m, n), r in zip(shapes, ranks)) + model.n_inc
+        reports.append(AllocationReport(ranks=ranks, kl=fermigrad._kl_against(terms, student),
+                                        params_linear=lin, params_parabolic=par,
+                                        per_layer_residual=layer_residuals(model, ranks)))
+    return reports
+
+
+def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
+    """``evaluate_allocations`` of the one rank tuple ``ranks``."""
+    return evaluate_allocations(model, data, [ranks])[0]
 
 
 def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
@@ -340,7 +347,7 @@ def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
 
 
 def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
-                            grid_step: int = 1, r_min: int = 1, terms=None) -> RankAllocation:
+                            grid_step: int = 1, r_min: int = 1) -> RankAllocation:
     """Exhaustive KL-minimal rank tuple on the grid {r_min, r_min+step, ..., N_l}.
 
     Only feasible for a handful of small layers: the grid size is guarded
@@ -353,7 +360,7 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     A layer's count is nondecreasing in its rank (a_l r, or r (a_l - r)
     with r <= a_l / 2), so once a prefix completed with the lowest grid
     ranks exceeds the budget, every later rank at that depth does too and
-    the walk backtracks. ``terms`` is as for ``evaluate_allocation``.
+    the walk backtracks.
     """
     data = _factored_input(model, data)
     if grid_step < 1 or r_min < 1:
@@ -368,7 +375,7 @@ def brute_force_rank_search(model: ToyModel, data, budget: BudgetConstraint,
     if total == 0:
         raise InfeasibleBudget(f"no grid point satisfies the budget {budget.n_target}")
     act, _ = fermigrad.ACTIVATIONS[model.nonlinearity]
-    terms = _checked_terms(model, data, terms)
+    terms = _teacher_pass(model, data)
     floor = np.array([g[0] for g in grids], dtype=np.int64)
     ranks = floor.copy()
     last = len(grids) - 1

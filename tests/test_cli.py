@@ -493,9 +493,13 @@ class TestMalformedInput:
         {"signal_gain": 0},
         {"noise_floor": -1e-3},
         {"seed": -1},
+        {"signal_gain": 1e308},
+        {"noise_floor": 1e308},
+        {"spectrum_decay": -1000},
     ], ids=["noise_floor_str", "nonlinearity_int", "shapes_not_chaining",
             "decay_per_layer_count", "signal_gain_nan", "no_layers", "signal_gain_zero",
-            "noise_floor_negative", "seed_negative"])
+            "noise_floor_negative", "seed_negative", "signal_gain_overflows",
+            "noise_floor_overflows", "spectrum_decay_overflows"])
     def test_malformed_spec_fields(self, tmp_path, capsys, fields):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"layer_shapes": [[16, 16], [16, 16]],
@@ -503,6 +507,7 @@ class TestMalformedInput:
         code = run(["gen-teacher", "--spec", str(spec), "--out", str(tmp_path / "t")])
         assert code == EXIT_FORMAT
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
+        assert not (tmp_path / "t").exists()
 
     def test_negative_seed_flag_with_spec_is_usage_error(self, pipeline, tmp_path, capsys):
         root, _, _ = pipeline
@@ -773,9 +778,10 @@ class TestNonFiniteFlags:
 
 
 class TestTooLargeToAllocate:
-    """A sample count numpy cannot allocate is a usage error of its flag, not a
-    traceback; any other MemoryError is not a usage error. The allocation is
-    made to raise: a real attempt may be killed, not refused."""
+    """A sample count or a spec's layer shapes numpy cannot allocate is a usage
+    error of its flag, not a traceback; any other MemoryError is not a usage
+    error. The allocation is made to raise: a real attempt may be killed, not
+    refused."""
 
     @staticmethod
     def refuse(*args):
@@ -797,6 +803,17 @@ class TestTooLargeToAllocate:
         err = _one_error_line(capsys)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{flag} 512 is too large to allocate: Unable")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_layer_shapes_are_usage_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        root, _, _ = pipeline
+        monkeypatch.setattr(tm, "build_teacher", self.refuse)
+        spec = str(root / "spec.json")
+        capsys.readouterr()
+        assert run(["gen-teacher", "--spec", spec, "--out", str(tmp_path / "t")]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"--spec {spec}: layer shapes too large to allocate")
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_error_elsewhere_is_not_a_usage_error(self, pipeline, tmp_path,

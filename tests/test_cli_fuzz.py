@@ -1,21 +1,30 @@
-"""Property test: every CLI run ends in a documented exit code, and a failing
+"""Property tests: every CLI run ends in a documented exit code, and a failing
 run prints exactly one JSON line to stderr and leaves its inputs untouched.
 
-Each example starts from a valid run of one of the five subcommands on a
-2-layer 16x16 teacher and makes one change to its argv: a flag dropped,
-duplicated or retyped, a value replaced by an edge value, or an output
-aimed at one of the run's inputs. Whatever the outcome, every file of the
-input packages keeps its sha256.
+In the first, each example starts from a valid run of one of the five
+subcommands on a 2-layer 16x16 teacher and makes one change to its argv: a
+flag dropped, duplicated or retyped, a value replaced by an edge value, or
+an output aimed at one of the run's inputs. Whatever the outcome, every file
+of the input packages keeps its sha256.
+
+In the second, each example is a ``gen-teacher --spec`` file of that teacher
+with one field, or one entry of a list field, replaced by an edge value. A
+run warns of nothing, and a teacher it writes has finite, nonzero weights.
 """
 
+import copy
 import hashlib
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lrcompress import matrixio as mio
+from lrcompress import toymodels as tm
 from lrcompress.cli import EXIT_OK, main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -148,5 +157,75 @@ def test_one_json_line_contract(inputs, capsys):
         for p in changed:
             p.write_bytes(original[p])
         assert not changed, (argv, changed)
+
+    check()
+
+
+# Edge values a spec field, or one entry of a list field, is replaced by.
+SPEC_EDGES = [0, -1, 1e308, -1e308, 2**63, "", [], None]
+# Layer sizes far beyond memory. Building such a teacher is made to fail as
+# numpy's allocation would (see test_spec_field_contract): a real attempt
+# may be killed, not refused.
+HUGE_SIZES = [10**7, 2**31]
+MAX_ROWS = 4096
+
+
+def _spec_fields():
+    """A copy of the first test's spec with every optional field given, and a
+    per-layer spectrum_decay, so that each field can be drawn."""
+    return {**copy.deepcopy(SPEC), "spectrum_decay": [3.0, 2.0], "signal_gain": 5.0}
+
+
+@st.composite
+def spec_mutations(draw):
+    """A spec with one field, or one entry of a list field, replaced."""
+    spec = _spec_fields()
+    targets = [(key,) for key in sorted(spec)]
+    targets += [("layer_shapes", l, i) for l in range(2) for i in range(2)]
+    targets += [(key, l) for key in ("planted_ranks", "spectrum_decay") for l in range(2)]
+    target = draw(st.sampled_from(targets))
+    edges = SPEC_EDGES + HUGE_SIZES if target[0] == "layer_shapes" and len(target) == 3 \
+        else SPEC_EDGES
+    *path, last = target
+    holder = spec
+    for key in path:
+        holder = holder[key]
+    holder[last] = draw(st.sampled_from(edges))
+    return spec
+
+
+def test_spec_field_contract(capsys, monkeypatch):
+    orthonormal = tm._seeded_orthonormal
+
+    def refuse_huge(rng, rows, cols):
+        if rows > MAX_ROWS:
+            raise MemoryError(f"Unable to allocate an array with shape ({rows}, {rows}) "
+                              "and data type float64")
+        return orthonormal(rng, rows, cols)
+
+    monkeypatch.setattr(tm, "_seeded_orthonormal", refuse_huge)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(spec_mutations())
+    def check(spec):
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "spec.json", Path(tmp) / "t"
+            path.write_text(json.dumps(spec))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["gen-teacher", "--spec", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert not caught, (spec, [str(w.message) for w in caught])
+            assert code in EXIT_CODES, (spec, code)
+            if code == EXIT_OK:
+                for layer in mio.load_model_package(out).layers:
+                    W = layer.payload
+                    assert np.isfinite(W).all() and np.any(W), spec
+            else:
+                lines = err.strip().splitlines()
+                assert len(lines) == 1, (spec, err)
+                assert set(json.loads(lines[0])) == {"error", "message"}, (spec, err)
+                assert not out.exists(), spec
 
     check()

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from lrcompress import PackageFormatError, pivga_factorize, plain_svd_compress
+from lrcompress import (LowRankFactors, PackageFormatError, PivGaFactors, pivga_factorize,
+                         plain_svd_compress)
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
 from lrcompress.fermigrad import TrajectoryPoint, dense_forward
@@ -136,6 +137,23 @@ class TestModelPackage:
         mio.write_matrix(tmp_path / "pkg" / "layer_00.D.lrmx", pf.D)
         mio.write_matrix(tmp_path / "pkg" / "layer_00.C.lrmx", pf.Cmat[:-1])
         with pytest.raises(PackageFormatError, match="C is"):
+            mio.load_model_package(tmp_path / "pkg")
+
+    @pytest.mark.parametrize("rank", [0, 70])
+    def test_lowrank_rank_outside_box_refused(self, tmp_path, rank):
+        # the files agree with the manifest, so only the rank bound refuses them
+        rng = np.random.default_rng(7)
+        f = LowRankFactors(A=rng.standard_normal((64, rank)), B=rng.standard_normal((rank, 64)))
+        mio.save_model_package(tmp_path / "pkg", None, [f])
+        with pytest.raises(PackageFormatError, match=f"rank {rank} outside \\[1, 64\\]"):
+            mio.load_model_package(tmp_path / "pkg")
+
+    def test_pivga_rank_zero_refused(self, tmp_path):
+        pf = PivGaFactors(Cmat=np.zeros((64, 0)), D=np.zeros((0, 64)),
+                          perm=np.arange(64, dtype=np.int64), rank=0, n_cols=64,
+                          cond_b0=1.0)
+        mio.save_model_package(tmp_path / "pkg", None, [pf])
+        with pytest.raises(PackageFormatError, match=r"rank 0 outside \[1, 64\]"):
             mio.load_model_package(tmp_path / "pkg")
 
     def test_manifest_shape_mismatch_detected(self, tmp_path):

@@ -12,6 +12,7 @@ from lrcompress import (
     build_teacher,
     default_spec,
     evaluate_allocation,
+    evaluate_allocations,
     gen_calibration,
     kl_divergence,
     pivga_factorize,
@@ -50,6 +51,15 @@ class TestSpecValidation:
         assert spec.output_dim == 6
         with pytest.raises(DimensionMismatch):
             ToyModelSpec(layer_shapes=[(6, 4)], planted_ranks=[2], output_dim=5)
+
+    def test_no_layers(self):
+        with pytest.raises(DimensionMismatch, match="no layers"):
+            ToyModelSpec(layer_shapes=[], planted_ranks=[])
+
+    def test_one_spectrum_decay_per_layer(self):
+        with pytest.raises(DimensionMismatch, match="one spectrum_decay per layer"):
+            ToyModelSpec(layer_shapes=[(8, 8), (8, 8)], planted_ranks=[2, 2],
+                         spectrum_decay=[3.0])
 
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError):
@@ -166,8 +176,15 @@ class TestForwardModes:
 
     def test_width_check(self, default_model):
         spec, model, _ = default_model
-        with pytest.raises(DimensionMismatch, match="input width 63"):
-            evaluate_allocation(model, np.zeros((63, 4)), spec.caps())
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), mode="linear")
+        wrong = np.zeros((63, 4))
+        for call in (lambda: tm.layer_calibration_matrices(model, wrong),
+                     lambda: attach_data_aware_factors(build_teacher(spec), wrong),
+                     lambda: evaluate_allocation(model, wrong, spec.caps()),
+                     lambda: brute_force_rank_search(model, wrong, budget, grid_step=16)):
+            with pytest.raises(DimensionMismatch, match="input width 63, model expects 64"):
+                call()
 
 
 class TestEvaluateAllocation:
@@ -195,25 +212,21 @@ class TestEvaluateAllocation:
         s = fg.hard_forward(model.factors, model.nonlinearity, Xe, ranks)
         assert rep.kl == kl_divergence(t.T, s.T)
 
-    def test_given_teacher_terms_score_as_computed_ones(self, default_model):
+    def test_one_teacher_pass_for_several_allocations(self, default_model, monkeypatch):
         spec, model, X = default_model
         Xe = X[:, :48]
-        ranks = np.array([6, 10, 14, 30])
-        terms = tm.teacher_terms(model, Xe)
-        assert evaluate_allocation(model, Xe, ranks, terms).kl == \
-            evaluate_allocation(model, Xe, ranks).kl
-
-    @pytest.mark.parametrize("n_terms", [47, 1])
-    def test_teacher_terms_of_other_sample_count_refused(self, default_model, n_terms):
-        # one sample would broadcast silently against the 48-sample student
-        spec, model, X = default_model
-        terms = tm.teacher_terms(model, X[:, :n_terms])
-        with pytest.raises(DimensionMismatch, match="teacher terms"):
-            evaluate_allocation(model, X[:, :48], spec.caps(), terms)
-        budget = BudgetConstraint.from_shapes(
-            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), mode="linear")
-        with pytest.raises(DimensionMismatch, match="teacher terms"):
-            brute_force_rank_search(model, X[:, :48], budget, grid_step=16, terms=terms)
+        allocations = [np.array([6, 10, 14, 30]), spec.caps(), [1, 64, 2, 8]]
+        singles = [evaluate_allocation(model, Xe, ranks) for ranks in allocations]
+        calls = []
+        dense_forward = fg.dense_forward
+        monkeypatch.setattr(fg, "dense_forward",
+                            lambda *a: calls.append(None) or dense_forward(*a))
+        reports = evaluate_allocations(model, Xe, allocations)
+        assert len(calls) == 1
+        for got, want in zip(reports, singles, strict=True):
+            assert got.to_dict() == want.to_dict()
+            assert got.ranks.dtype == want.ranks.dtype
+            assert got.per_layer_residual.tobytes() == want.per_layer_residual.tobytes()
 
     def test_param_counts_match_formulas(self, default_model):
         spec, model, _ = default_model
