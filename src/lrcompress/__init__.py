@@ -45,7 +45,13 @@ from .fermigrad import (
     round_and_repair,
     uniform_ranks,
 )
-from .linalg import SvdResult, cholesky_whiten, lu_row_pivots, svd_descending
+from .linalg import (
+    SvdResult,
+    cholesky_whiten,
+    left_singular_vectors,
+    lu_row_pivots,
+    svd_descending,
+)
 from .pivga import (
     ParamCount,
     PivGaFactors,

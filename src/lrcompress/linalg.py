@@ -1,10 +1,11 @@
 """Deterministic dense linear-algebra kernels the rest of the toolkit builds on.
 
-SVD and Cholesky delegate to LAPACK (via numpy) with post-processing that
-pins down gauge signs and jitter behaviour. Skeleton-column selection reads
-its pivot order from one LAPACK ``getrf`` (partial pivoting: at each step the
-first maximum of the computed magnitudes, as LAPACK ``idamax`` picks it) and
-applies our own rank-deficiency threshold to the diagonal of U; PivGa reuses
+SVD, symmetric eigendecomposition and Cholesky delegate to LAPACK (via
+numpy) with post-processing that pins down gauge signs and jitter behaviour.
+Skeleton-column selection reads its pivot order from one LAPACK ``getrf``
+(partial pivoting: at each step the first maximum of the computed
+magnitudes, as LAPACK ``idamax`` picks it) and applies our own
+rank-deficiency threshold to the diagonal of U; PivGa reuses
 the same packed L and U for its D block instead of factorizing again.
 
 All computation is in 64-bit floats. Inputs are validated to be finite;
@@ -57,6 +58,13 @@ class SvdResult:
     Vt: np.ndarray      # k x n
 
 
+def _sign_flips(U: np.ndarray) -> np.ndarray:
+    """Columns of U whose largest-magnitude entry (first such entry on ties) is negative."""
+    # np.argmax returns the first maximizer, so ties go to the lowest row.
+    lead = np.argmax(np.abs(U), axis=0)
+    return U[lead, np.arange(U.shape[1])] < 0
+
+
 def svd_descending(W) -> SvdResult:
     """Thin SVD of ``W`` with a reproducible sign convention.
 
@@ -71,12 +79,34 @@ def svd_descending(W) -> SvdResult:
         U, sigma, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
-    # np.argmax returns the first maximizer, so ties go to the lowest row.
-    lead = np.argmax(np.abs(U), axis=0)
-    flip = U[lead, np.arange(U.shape[1])] < 0
+    flip = _sign_flips(U)
     U[:, flip] *= -1.0
     Vt[flip, :] *= -1.0
     return SvdResult(U=U, sigma=sigma, Vt=Vt)
+
+
+def left_singular_vectors(M) -> np.ndarray:
+    """The m x min(m, n) left singular vectors of ``M``, descending, without Vt or sigma.
+
+    Taken from one symmetric eigendecomposition of the Gram matrix M M^T,
+    its eigenvectors reversed into descending order and given
+    ``svd_descending``'s column signs. A tall M (m > n) is first reduced,
+    M = Q R, and the basis is Q times the eigenvectors of the n x n R R^T:
+    the m x m Gram would carry an (m - n)-dimensional null space whose
+    round-off leaks into the basis. Forming the Gram squares the spectrum,
+    so a singular direction is resolved only down to about sqrt(eps) * sigma_1;
+    below that the columns are an orthonormal basis of the tail, not its
+    singular vectors.
+    """
+    M = as_matrix(M, "M")
+    Q, R = np.linalg.qr(M) if M.shape[0] > M.shape[1] else (None, M)
+    try:
+        _, V = np.linalg.eigh(R @ R.T)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from None
+    U = np.ascontiguousarray(V[:, ::-1]) if Q is None else Q @ V[:, ::-1]
+    U[:, _sign_flips(U)] *= -1.0
+    return U
 
 
 def cholesky_whiten(C) -> np.ndarray:

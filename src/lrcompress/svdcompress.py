@@ -5,7 +5,11 @@ the second-moment statistics of the layer inputs: with C = sum_b X_b X_b^T
 and a whitening factor S (C = S S^T), the rank-r minimizer of
 ||(W - A B) S||_F is the truncated SVD of W S. Setting A to the leading
 left singular vectors of W S and B = A^T W realizes that minimizer without
-ever inverting S.
+ever inverting S. Only that basis is needed, so it comes from one symmetric
+eigendecomposition of the Gram matrix (W S)(W S)^T, taken after a reduced
+QR of W S when the layer is tall (m > n), instead of a full SVD. Squaring
+the spectrum limits the accuracy: the whitened residual matches the SVD's
+tail to within about sqrt(eps) * sigma_1.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_matrix, svd_descending
+from .linalg import as_matrix, left_singular_vectors, svd_descending
 
 
 @dataclass
@@ -93,7 +97,10 @@ def data_aware_svd(W, S, r: int) -> LowRankFactors:
     """Rank-r factors minimizing ||(W - A B) S||_F for whitening factor S.
 
     A = leading r left singular vectors of W @ S (orthonormal columns),
-    B = A.T @ W.
+    B = A.T @ W. The basis comes from ``left_singular_vectors``: an ``eigh``
+    of the Gram matrix of W @ S, or of its R factor when m > n, so the
+    whitened residual ||(W - A B) S||_F equals the SVD tail of W @ S only to
+    within about sqrt(eps) * sigma_1.
     """
     W = as_matrix(W, "W")
     S = as_matrix(S, "S")
@@ -102,8 +109,7 @@ def data_aware_svd(W, S, r: int) -> LowRankFactors:
         raise DimensionMismatch(f"S must be {n}x{n}, got {S.shape}")
     if not 1 <= r <= min(W.shape):
         raise DimensionMismatch(f"need 1 <= r <= min{W.shape}, got r={r}")
-    res = svd_descending(W @ S)
-    A = res.U[:, :r]
+    A = left_singular_vectors(W @ S)[:, :r]
     return LowRankFactors(A=A, B=A.T @ W)
 
 

@@ -87,11 +87,13 @@ class ToyModelSpec:
             raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         for l in range(len(shapes)):
             s = self._spectrum(l)
-            if not (np.isfinite(s).all() and s[0] > 0):
+            subnormal = ((s > 0) & (s < np.finfo(np.float64).tiny)).any()
+            if not (np.isfinite(s).all() and s[0] > 0) or subnormal:
                 raise ValueError(
                     f"layer {l}: spectrum_decay {self.decay_for(l)}, noise_floor "
                     f"{self.noise_floor} and signal_gain {self.signal_gain} give a spectrum "
-                    "that is not finite with a positive leading value"
+                    "that is not finite with a positive leading value, or has a nonzero "
+                    "value below the smallest normal float"
                 )
 
     @property

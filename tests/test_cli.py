@@ -496,10 +496,11 @@ class TestMalformedInput:
         {"signal_gain": 1e308},
         {"noise_floor": 1e308},
         {"spectrum_decay": -1000},
+        {"signal_gain": 5e-324},
     ], ids=["noise_floor_str", "nonlinearity_int", "shapes_not_chaining",
             "decay_per_layer_count", "signal_gain_nan", "no_layers", "signal_gain_zero",
             "noise_floor_negative", "seed_negative", "signal_gain_overflows",
-            "noise_floor_overflows", "spectrum_decay_overflows"])
+            "noise_floor_overflows", "spectrum_decay_overflows", "signal_gain_subnormal"])
     def test_malformed_spec_fields(self, tmp_path, capsys, fields):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"layer_shapes": [[16, 16], [16, 16]],
@@ -838,7 +839,7 @@ class TestFactorStore:
 
     def test_only_calibrate_factorizes(self, pipeline, tmp_path, monkeypatch):
         _, teacher, _ = pipeline
-        calls = {"cholesky_whiten": 0, "svd_descending": 0}
+        calls = {"cholesky_whiten": 0, "left_singular_vectors": 0}
         for name in calls:
             original = getattr(linalg, name)
 
@@ -853,10 +854,10 @@ class TestFactorStore:
         calib = tmp_path / "calib"
         assert run(["calibrate", "--model", str(teacher), "--samples", "64",
                     "--seed", "2", "--out", str(calib)]) == EXIT_OK
-        assert calls == {"cholesky_whiten": 2, "svd_descending": 2}
+        assert calls == {"cholesky_whiten": 2, "left_singular_vectors": 2}
         for cmd, argv in _consumer_argvs(teacher, calib, tmp_path).items():
             assert run(argv) == EXIT_OK, cmd
-        assert calls == {"cholesky_whiten": 2, "svd_descending": 2}
+        assert calls == {"cholesky_whiten": 2, "left_singular_vectors": 2}
 
     @pytest.mark.parametrize("cmd", ["fermigrad", "compress", "compare"])
     def test_regenerated_teacher_is_format_error(self, pipeline, tmp_path, capsys, cmd):

@@ -1,4 +1,5 @@
-"""Numeric-core contracts: SVD, Cholesky whitening, pivoted LU."""
+"""Numeric-core contracts: SVD, Gram-route left singular vectors, Cholesky whitening,
+pivoted LU."""
 
 import re
 
@@ -10,6 +11,7 @@ from lrcompress import (
     NotSymmetric,
     RankDeficient,
     cholesky_whiten,
+    left_singular_vectors,
     lu_row_pivots,
     svd_descending,
 )
@@ -96,6 +98,26 @@ class TestSvdDescending:
         W = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError):
             svd_descending(W)
+
+
+class TestLeftSingularVectors:
+    @pytest.mark.parametrize("shape", [(30, 7), (7, 30), (16, 16)])
+    def test_matches_svd_basis_and_signs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        W = rng.standard_normal(shape)
+        U = left_singular_vectors(W)
+        ref = svd_descending(W).U
+        assert U.shape == ref.shape
+        assert np.linalg.norm(U - ref) <= 1e-10
+        assert np.linalg.norm(U.T @ U - np.eye(min(shape))) <= 1e-12
+
+    def test_bit_identical_determinism(self):
+        W = np.random.default_rng(12).standard_normal((20, 13))
+        assert np.array_equal(left_singular_vectors(W), left_singular_vectors(W))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            left_singular_vectors(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestCholeskyWhiten:

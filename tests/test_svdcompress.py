@@ -21,6 +21,23 @@ def seeded_pd_whitener(n, seed, samples=None):
     return cholesky_whiten(X @ X.T)
 
 
+def planted_whitened_layer(shape, sigma, seed):
+    """W and a whitener S with W @ S = U diag(sigma) V^T for random orthonormal U, V."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, len(sigma))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(sigma))))[0]
+    S = seeded_pd_whitener(n, seed + 1)
+    W = np.linalg.solve(S.T, (U * sigma @ V.T).T).T
+    return W, S
+
+
+# A tall layer is the case a Gram matrix of W @ S alone gets wrong: its
+# (m - n)-dimensional null space leaks into A.
+LAYER_SHAPES = pytest.mark.parametrize("shape", [(128, 64), (64, 128), (48, 48)],
+                                       ids=["tall", "wide", "square"])
+
+
 class TestAccumulateCalibration:
     def test_identity_batch(self):
         state = accumulate_calibration(CalibState.empty(3), np.eye(3))
@@ -145,6 +162,35 @@ class TestDataAwareSvd:
         res = svd_descending(W @ S)
         target = res.U[:, :r] * res.sigma[:r] @ res.Vt[:r, :]
         assert np.linalg.norm(f.reconstruct() @ S - target) <= 1e-10 * np.linalg.norm(target)
+
+    @LAYER_SHAPES
+    def test_full_rank_reconstruction(self, shape):
+        W, S = planted_whitened_layer(shape, np.logspace(0, -6, min(shape)), 4)
+        f = data_aware_svd(W, S, min(shape))
+        assert np.linalg.norm(W - f.reconstruct()) <= 1e-13 * np.linalg.norm(W)
+
+    @LAYER_SHAPES
+    def test_steep_spectrum_error_matches_tail_at_every_rank(self, shape):
+        # sigma_k^2 / sigma_1^2 = 1e-12 still lies above the Gram matrix's round-off
+        k = min(shape)
+        W, S = planted_whitened_layer(shape, np.logspace(0, -6, k), 5)
+        sigma = svd_descending(W @ S).sigma
+        for r in range(1, k):
+            err = np.linalg.norm((W - data_aware_svd(W, S, r).reconstruct()) @ S)
+            tail = np.sqrt(np.sum(sigma[r:] ** 2))
+            assert abs(err - tail) <= 1e-8 * tail, r
+
+    @LAYER_SHAPES
+    def test_spectrum_below_sqrt_eps_error_within_floor(self, shape):
+        # below ~sqrt(eps) * sigma_1 the Gram matrix no longer resolves directions,
+        # so the residual is pinned to the tail only up to that floor
+        k = min(shape)
+        W, S = planted_whitened_layer(shape, np.logspace(0, -12, k), 6)
+        sigma = svd_descending(W @ S).sigma
+        for r in range(1, k + 1):
+            err = np.linalg.norm((W - data_aware_svd(W, S, r).reconstruct()) @ S)
+            tail = np.sqrt(np.sum(sigma[r:] ** 2))
+            assert abs(err - tail) <= 1e-7 * sigma[0], r
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
