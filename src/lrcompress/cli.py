@@ -45,10 +45,12 @@ _EPILOG = """exit codes:
   0  success
   2  usage error (unknown, missing or malformed flags, a flag value out of range,
      a sample count or spec layer shapes too large to allocate, or an output path
-     that is, or lies inside, an input package directory or another output)
+     that is, or lies inside, an input package directory or another output, or
+     a linear-mode fermigrad run whose penalty step would diverge)
   3  I/O error (missing or unwritable file)
   4  file-format error (bad magic or JSON; malformed manifest, ranks file or spec;
-     a calibration package made for another teacher or without factors)
+     a calibration package made for another teacher or without factors; a
+     matrix file holding NaN or Inf)
   5  numerical/domain error (rank-deficient, infeasible budget, ...)
 """
 
@@ -147,6 +149,24 @@ def _budget_from_args(args, spec: tm.ToyModelSpec, n_inc: int,
     )
 
 
+def _check_stiffness(budget: fg.BudgetConstraint, sched: fg.RhoSchedule,
+                     opt: fg.OptimizerConfig, caps) -> None:
+    """Refuse a linear-mode run whose penalty step overshoots by the end of the
+    ramp: the penalty's curvature along mu is rho * sum(a_l^2) / N_scale, so at
+    step * rho_last * sum(a_l^2) / N_scale >= 2 the steps diverge and the box
+    clip parks every mu at r_min. A penalty gradient already non-finite at the
+    start point is left to the loop, which refuses it as NonFiniteGradient."""
+    stiffness = (opt.step_size * fg.rho_schedule(opt.max_iters - 1, sched)
+                 * float(budget.a @ budget.a) / budget.n_scale)
+    with np.errstate(over="ignore"):
+        start = fg.penalty_grad(fg.MuVector(caps, caps), budget, sched.rho0)
+    if stiffness >= 2 and np.isfinite(start).all():
+        raise ValueError(
+            f"step * rho * sum(a_l^2) / n_scale = {stiffness:.4g} >= 2 at the last "
+            "iteration: the linear-mode penalty step diverges; lower --step or "
+            "raise --n-scale")
+
+
 def cmd_gen_teacher(args) -> int:
     spec = _load_spec(args.spec, args.seed)
     try:
@@ -234,10 +254,10 @@ def cmd_fermigrad(args) -> int:
     model = _load_factored(args)
     budget = _budget_from_args(args, model.spec, model.n_inc, args.n_scale)
     cfg = fg.FermiConfig(T=args.T, r_min=args.r_min)
-    sched = fg.RhoSchedule(rho0=args.rho0, alpha=args.alpha, rho_max=args.rho_max)
-    opt = fg.OptimizerConfig(step_size=args.step, max_iters=args.iters,
-                             mu_tol=args.mu_tol, constraint_tol=args.constraint_tol,
-                             batch_size=args.batch_size)
+    sched = fg.RhoSchedule()
+    opt = fg.OptimizerConfig(step_size=args.step, max_iters=args.iters)
+    if budget.mode == "linear":
+        _check_stiffness(budget, sched, opt, model.spec.caps())
     timings.lap("load")
     data = _draw(model.spec, args.kl_samples, args.seed, "--kl-samples")
     trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
@@ -387,15 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=["linear", "parabolic"], default=fg.BudgetConstraint.mode)
     f.add_argument("-T", type=float, default=fg.FermiConfig.T, help="Fermi temperature")
     f.add_argument("--r-min", type=int, default=fg.FermiConfig.r_min)
-    f.add_argument("--rho0", type=float, default=fg.RhoSchedule.rho0)
-    f.add_argument("--alpha", type=float, default=fg.RhoSchedule.alpha)
-    f.add_argument("--rho-max", type=float, default=fg.RhoSchedule.rho_max)
     f.add_argument("--n-scale", type=float, default=fg.BudgetConstraint.n_scale)
     f.add_argument("--step", type=float, default=fg.OptimizerConfig.step_size)
     f.add_argument("--iters", type=int, default=fg.OptimizerConfig.max_iters)
-    f.add_argument("--mu-tol", type=float, default=fg.OptimizerConfig.mu_tol)
-    f.add_argument("--constraint-tol", type=float, default=fg.OptimizerConfig.constraint_tol)
-    f.add_argument("--batch-size", type=int, default=fg.OptimizerConfig.batch_size)
     f.add_argument("--kl-samples", type=int, default=512,
                    help="training samples for the KL loss (seeded)")
     f.add_argument("--seed", type=int, default=0)

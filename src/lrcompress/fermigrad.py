@@ -264,8 +264,9 @@ def _kl_of(terms, log_q: np.ndarray) -> float:
     against ``_teacher_terms`` output."""
     p, log_p = terms
     per_sample = np.add.reduce(p * (log_p - log_q), axis=0)
-    # mathematically >= 0; the max guards round-off at q == p
-    return max(0.0, float(np.add.reduce(per_sample) / per_sample.size))
+    kl = float(np.add.reduce(per_sample) / per_sample.size)
+    # mathematically >= 0: clamp round-off at q == p, and let a NaN through
+    return 0.0 if kl < 0.0 else kl
 
 
 def _kl_against(terms, logits: np.ndarray) -> float:

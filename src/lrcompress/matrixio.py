@@ -11,8 +11,10 @@ LRMX is a 24-byte little-endian header followed by the row-major payload:
     16      8     cols (u64)
     24      -     payload, rows*cols values, row-major, little-endian
 
-Round-tripping a float64 matrix is bit-exact. Permutation index files are
-raw little-endian u64 sequences. A model package is a directory with a
+Round-tripping a float64 matrix is bit-exact. Every matrix the toolkit
+stores (weights, factors, calibration matrices) is finite, so a payload
+holding NaN or Inf is refused on read as a damaged file. Permutation index
+files are raw little-endian u64 sequences. A model package is a directory with a
 manifest.json naming every layer, its shape and representation
 (dense | lowrank | pivga) and the files holding its factors. A calibration
 package holds each layer's C matrix and full-rank data-aware factors, plus
@@ -60,7 +62,8 @@ def write_matrix(path, M) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read an LRMX file back as a float64 array (f32 payloads are upcast)."""
+    """Read an LRMX file back as a float64 array (f32 payloads are upcast).
+    A malformed header or payload, NaN or Inf included, raises PackageFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -82,6 +85,8 @@ def read_matrix(path) -> np.ndarray:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype=dt).reshape(rows, cols)
+    if not np.isfinite(data).all():
+        raise PackageFormatError(f"{path}: payload holds NaN or Inf")
     return data.astype(np.float64)
 
 

@@ -265,6 +265,52 @@ class TestFermigrad:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestStiffness:
+    """A linear-mode run whose penalty step would diverge is refused before it starts."""
+
+    SPEC = {"layer_shapes": [[128, 64], [64, 128], [128, 64], [64, 128]],
+            "planted_ranks": [4, 8, 16, 48], "seed": 20}
+
+    @pytest.fixture(scope="class")
+    def rectangular(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rect")
+        (root / "spec.json").write_text(json.dumps(self.SPEC))
+        teacher, calib = root / "teacher", root / "calib"
+        assert run(["gen-teacher", "--spec", str(root / "spec.json"),
+                    "--out", str(teacher)]) == EXIT_OK
+        assert run(["calibrate", "--model", str(teacher), "--samples", "512", "--seed", "11",
+                    "--out", str(calib)]) == EXIT_OK
+        return teacher, calib
+
+    def test_rectangular_linear_refused_parabolic_runs(self, rectangular, tmp_path, capsys):
+        # step * rho_max * sum(a_l^2) / n_scale = 10 * 2000 * 4 * 192^2 / 1e9 = 2.95:
+        # a linear-mode run would overshoot and end at the r_min ranks [8, 8, 8, 8]
+        teacher, calib = rectangular
+        argv = ["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                "--target-ratio", "0.6", "--step", "10", "--iters", "1500",
+                "--kl-samples", "512", "--seed", "11"]
+        capsys.readouterr()
+        assert run([*argv, "--out-ranks", str(tmp_path / "linear.json")]) == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError"
+        assert "= 2.949 >= 2" in err["message"] and "--step" in err["message"] \
+            and "--n-scale" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+        # in parabolic mode the count slope a - 2 mu is below a, and the run converges
+        assert run([*argv, "--mode", "parabolic",
+                    "--out-ranks", str(tmp_path / "parabolic.json")]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["final_ranks"] == [30, 30, 30, 31]
+
+    def test_overflowing_step_refused(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        code = run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--step", "1e308",
+                    "--out-ranks", str(tmp_path / "r.json")])
+        assert code == EXIT_USAGE
+        assert "= inf >= 2" in _one_error_line(capsys)["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParabolicMode:
     """Parabolic (gauge-fixed) budgets through the CLI: the contract, not quality."""
 
@@ -345,11 +391,12 @@ class TestDefaults:
             ["fermigrad", "--model", "m", "--calib", "c", "--out-ranks", "r"])
         assert args.T == 0.01
         assert args.r_min == 8
-        assert args.rho0 == 1.0
-        assert args.rho_max == 2000.0
         assert args.n_scale == 1e9
-        assert 1.01 <= args.alpha <= 1.05
         assert args.step == 0.5
+        sched = fg.RhoSchedule()
+        assert sched.rho0 == 1.0
+        assert sched.rho_max == 2000.0
+        assert 1.01 <= sched.alpha <= 1.05
 
 
 class TestErrorMapping:
@@ -635,6 +682,41 @@ class TestTeacherManifest:
             assert err["error"] == "PackageFormatError" and "'n_inc'" in err["message"], cmd
         assert _files(tmp_path) == before
 
+    def test_nonfinite_weight_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "teacher"
+        shutil.copytree(teacher, bad)
+        W = mio.read_matrix(bad / "layer_01.W.lrmx")
+        W[3, 2] = np.inf
+        mio.write_matrix(bad / "layer_01.W.lrmx", W)
+        argvs = self._argvs(bad, calib, tmp_path, 2)
+        before = _files(tmp_path)
+        for cmd, argv in argvs.items():
+            assert run(argv) == EXIT_FORMAT, cmd
+            err = _one_error_line(capsys)
+            assert err["error"] == "PackageFormatError" and "NaN or Inf" in err["message"], cmd
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("kind, message", [
+        ("student", "package is not a dense teacher package"),
+        ("no-spec", "package has no model spec"),
+    ], ids=["student", "no-spec"])
+    def test_calibrate_needs_a_dense_teacher_with_spec(self, pipeline, tmp_path, capsys,
+                                                       kind, message):
+        _, teacher, _ = pipeline
+        pkg = mio.load_model_package(teacher)
+        W0, W1 = (l.payload for l in pkg.layers)
+        model = tmp_path / "model"
+        if kind == "student":
+            mio.save_model_package(model, pkg.spec, [plain_svd_compress(W0, 4), W1])
+        else:
+            mio.save_model_package(model, None, [W0, W1])
+        code = run(["calibrate", "--model", str(model), "--samples", "8",
+                    "--seed", "0", "--out", str(tmp_path / "c")])
+        assert code == EXIT_FORMAT
+        assert _one_error_line(capsys) == {"error": "PackageFormatError", "message": message}
+        assert not (tmp_path / "c").exists()
+
 
 class TestOutputDirectory:
     @pytest.mark.parametrize("cmd, out", [("calibrate", "teacher"), ("compress", "teacher"),
@@ -729,17 +811,13 @@ class TestOutputDirectory:
 
 
 class TestNonFiniteFlags:
+    # fixed ids, so each case keeps its name when cases are added or removed
     @pytest.mark.parametrize("flags, topic", [
         (["-T", "nan"], "temperature"),
         (["--step", "inf", "--iters", "1"], "optimizer"),
-        (["--rho0", "nan"], "rho0"),
-        (["--alpha", "inf"], "alpha"),
-        (["--rho-max", "inf"], "rho_max"),
         (["--n-scale", "nan"], "n_scale"),
-        (["--mu-tol", "nan"], "optimizer"),
-        (["--constraint-tol", "inf"], "optimizer"),
         (["--target-ratio", "inf"], "target-ratio"),
-    ])
+    ], ids=["flags0-temperature", "flags1-optimizer", "flags5-n_scale", "flags8-target-ratio"])
     def test_fermigrad_rejects(self, pipeline, tmp_path, capsys, flags, topic):
         _, teacher, calib = pipeline
         ranks = tmp_path / "r.json"
@@ -908,6 +986,31 @@ class TestFactorStore:
         code = run(_consumer_argvs(teacher, bad, tmp_path)["fermigrad"])
         assert code == EXIT_FORMAT
         assert "A is (16, 15)" in _one_error_line(capsys)["message"]
+
+    def test_nonfinite_factor_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        A = mio.read_matrix(bad / "layer_01.A.lrmx")
+        A[0, 0] = np.nan
+        mio.write_matrix(bad / "layer_01.A.lrmx", A)
+        before = _files(tmp_path)
+        for cmd, argv in _consumer_argvs(teacher, bad, tmp_path).items():
+            assert run(argv) == EXIT_FORMAT, cmd
+            err = _one_error_line(capsys)
+            assert err["error"] == "PackageFormatError", cmd
+            assert err["message"] == f"{bad / 'layer_01.A.lrmx'}: payload holds NaN or Inf"
+        assert _files(tmp_path) == before
+
+    def test_layer_entry_removed_is_format_error(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        _edit_manifest(bad, lambda m: m["layers"].pop())
+        code = run(_consumer_argvs(teacher, bad, tmp_path)["compress"])
+        assert code == EXIT_FORMAT
+        assert "1 layers for 2 teacher layers" in _one_error_line(capsys)["message"]
+        assert not (tmp_path / "student").exists()
 
     def test_missing_factor_file_is_io_error(self, pipeline, tmp_path, capsys):
         _, teacher, calib = pipeline

@@ -73,7 +73,7 @@ def inputs(tmp_path_factory):
                      ("--out", "s"), ("--report", "rep.json")],
         "fermigrad": [("--model", T), ("--calib", C), ("--target-ratio", "0.6"),
                       ("--r-min", "2"), ("--n-scale", "1e7"), ("--iters", "20"),
-                      ("--kl-samples", "64"), ("--batch-size", "16"),
+                      ("--kl-samples", "64"),
                       ("--out-ranks", "r.json"), ("--trajectory", "t.csv"),
                       ("--report", "f.json")],
         "compare": [("--model", T), ("--calib", C), ("--ranks", f"mine={R}"),

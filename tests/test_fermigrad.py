@@ -184,6 +184,17 @@ class TestRhoSchedule:
         with pytest.raises(ValueError):
             RhoSchedule(alpha=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: RhoSchedule(rho0=np.nan),
+        lambda: RhoSchedule(alpha=np.inf),
+        lambda: RhoSchedule(rho_max=np.inf),
+        lambda: OptimizerConfig(mu_tol=np.nan),
+        lambda: OptimizerConfig(constraint_tol=np.inf),
+    ], ids=["rho0-nan", "alpha-inf", "rho_max-inf", "mu_tol-nan", "constraint_tol-inf"])
+    def test_nonfinite_loop_settings_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestKlDivergence:
     def test_identical_logits_zero(self):

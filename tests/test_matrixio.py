@@ -80,6 +80,31 @@ class TestMatrixFile:
         with pytest.raises(PackageFormatError):
             mio.read_matrix(path)
 
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (4, "<H", 2, "unsupported version 2"),
+        (6, "<B", 7, "unknown dtype code 7"),
+    ], ids=["version", "dtype"])
+    def test_bad_header_field(self, tmp_path, offset, fmt, value, message):
+        path = tmp_path / "hdr.lrmx"
+        mio.write_matrix(path, np.ones((2, 2)))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PackageFormatError, match=message):
+            mio.read_matrix(path)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload(self, tmp_path, dtype, value):
+        M = np.ones((3, 4))
+        M[2, 1] = value
+        path = tmp_path / "nonfinite.lrmx"
+        code = mio.DTYPE_F64 if dtype == "<f8" else mio.DTYPE_F32
+        path.write_bytes(mio._HEADER.pack(mio.MAGIC, mio.VERSION, code, 0, 3, 4)
+                         + M.astype(dtype).tobytes())
+        with pytest.raises(PackageFormatError, match="nonfinite.lrmx: payload holds NaN or Inf"):
+            mio.read_matrix(path)
+
 
 class TestIndices:
     def test_round_trip(self, tmp_path):
@@ -139,6 +164,16 @@ class TestModelPackage:
         with pytest.raises(PackageFormatError, match="C is"):
             mio.load_model_package(tmp_path / "pkg")
 
+    def test_lowrank_factor_shapes_checked_on_load(self, tmp_path):
+        rng = np.random.default_rng(8)
+        f = plain_svd_compress(rng.standard_normal((10, 12)), 4)
+        mio.save_model_package(tmp_path / "pkg", None, [f])
+        for name, M in (("A", f.A[:, :-1]), ("B", f.B[:-1])):
+            mio.write_matrix(tmp_path / "pkg" / f"layer_00.{name}.lrmx", M)
+            with pytest.raises(PackageFormatError, match="factor shapes disagree"):
+                mio.load_model_package(tmp_path / "pkg")
+            mio.save_model_package(tmp_path / "pkg", None, [f])
+
     @pytest.mark.parametrize("rank", [0, 70])
     def test_lowrank_rank_outside_box_refused(self, tmp_path, rank):
         # the files agree with the manifest, so only the rank bound refuses them
@@ -194,6 +229,16 @@ class TestCalibrationPackage:
         back = mio.load_calibration_package(tmp_path / "calib")
         for a, b in zip(mats, back):
             assert np.array_equal(a, b)
+
+    def test_calibration_matrix_shape_checked_on_load(self, tmp_path):
+        spec = tm.ToyModelSpec(layer_shapes=[(4, 6), (3, 4)], planted_ranks=[2, 2])
+        model = tm.build_teacher(spec)
+        mats = tm.layer_calibration_matrices(model, tm.gen_calibration(spec, 20, seed=3))
+        tm.attach_factors_from_calibration(model, mats)
+        mio.save_calibration_package(tmp_path / "calib", mats, samples=20, seed=3, model=model)
+        mio.write_matrix(tmp_path / "calib" / "layer_01.C.lrmx", mats[1][:, :-1])
+        with pytest.raises(PackageFormatError, match="layer_01: calibration matrix shape"):
+            mio.load_calibration_package(tmp_path / "calib")
 
     def test_factors_round_trip_and_teacher_digest(self, tmp_path):
         spec = tm.ToyModelSpec(layer_shapes=[(6, 8), (5, 6)], planted_ranks=[2, 3])

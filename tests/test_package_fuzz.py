@@ -5,7 +5,7 @@ lowrank + pivga layers) or a calibration package holding full-rank factors,
 and applies one damage: drop or retype a manifest key, truncate a file, or
 overwrite one of its bytes. Loading may then fail, but only with
 PackageFormatError (or OSError for a file that is gone); a package that
-still loads must run.
+still loads must hold only finite values and run.
 """
 
 import json
@@ -49,6 +49,10 @@ def calib_package(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "calib"
     mio.save_calibration_package(out, mats, samples=40, seed=2, model=model)
     return out, model
+
+
+def _all_finite(matrices) -> bool:
+    return all(np.isfinite(M).all() for M in matrices)
 
 
 def _key_paths(manifest) -> list:
@@ -119,6 +123,8 @@ def test_damaged_package_fails_cleanly(package):
                 loaded = mio.load_model_package(pkg_dir)
             except (PackageFormatError, OSError):
                 return
+            W, f, pf = (l.payload for l in loaded.layers)
+            assert _all_finite([W, f.A, f.B, pf.Cmat, pf.D])
             assert mio.package_forward(loaded, X).shape == (6, 5)
 
     check()
@@ -145,6 +151,7 @@ def test_damaged_calibration_factors_fail_cleanly(calib_package):
             except (PackageFormatError, OSError):
                 return
             assert [f.shape for f in factors] == [(6, 8), (5, 6)]
+            assert _all_finite([M for f in factors for M in (f.A, f.B)])
             assert fermigrad.run(factors, model.nonlinearity, X).shape == (5, 5)
 
     check()

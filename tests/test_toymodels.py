@@ -228,6 +228,17 @@ class TestEvaluateAllocation:
             assert got.ranks.dtype == want.ranks.dtype
             assert got.per_layer_residual.tobytes() == want.per_layer_residual.tobytes()
 
+    def test_nan_factor_gives_nan_kl(self, default_model):
+        # a NaN must not read as KL 0, the best possible score
+        spec, model, X = default_model
+        factors = list(model.factors)
+        A = factors[1].A.copy()
+        A[0, 0] = np.nan
+        factors[1] = LowRankFactors(A=A, B=factors[1].B)
+        broken = tm.ToyModel(spec, model.dense_weights, factors=factors)
+        reports = evaluate_allocations(broken, X[:, :48], [spec.caps(), [6, 10, 14, 30]])
+        assert all(np.isnan(rep.kl) for rep in reports)
+
     def test_param_counts_match_formulas(self, default_model):
         spec, model, _ = default_model
         ranks = np.array([6, 10, 14, 30])
