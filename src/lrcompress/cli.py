@@ -187,6 +187,7 @@ def cmd_calibrate(args) -> int:
     timings.lap("load")
     X = _draw(model.spec, args.samples, args.seed, "--samples")
     mats = tm.layer_calibration_matrices(model, X)
+    del X  # the factorization needs only C; free the samples first
     timings.lap("calibrate")
     tm.attach_factors_from_calibration(model, mats)
     timings.lap("factorize")
@@ -261,6 +262,7 @@ def cmd_fermigrad(args) -> int:
     timings.lap("load")
     data = _draw(model.spec, args.kl_samples, args.seed, "--kl-samples")
     trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
+    del data  # free the training samples before the held-out set is drawn
     timings.lap("optimize")
     mio.write_ranks_file(args.out_ranks, alloc)
     if args.trajectory:

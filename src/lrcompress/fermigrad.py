@@ -259,14 +259,26 @@ def _teacher_terms(logits: np.ndarray):
     return np.exp(log_p), log_p
 
 
-def _kl_of(terms, log_q: np.ndarray) -> float:
-    """Mean KL of student log-probabilities ``log_q`` (classes x samples)
-    against ``_teacher_terms`` output."""
+def _kl_per_sample(terms, log_q: np.ndarray) -> np.ndarray:
+    """Each sample's KL of student log-probabilities ``log_q`` (classes x
+    samples) against ``_teacher_terms`` output. With two or more samples each
+    column is summed over classes in row order, so a sample's value does not
+    depend on how many other samples share the call."""
     p, log_p = terms
-    per_sample = np.add.reduce(p * (log_p - log_q), axis=0)
+    return np.add.reduce(p * (log_p - log_q), axis=0)
+
+
+def _kl_mean(per_sample: np.ndarray) -> float:
+    """The mean of ``_kl_per_sample`` values over all samples."""
     kl = float(np.add.reduce(per_sample) / per_sample.size)
     # mathematically >= 0: clamp round-off at q == p, and let a NaN through
     return 0.0 if kl < 0.0 else kl
+
+
+def _kl_of(terms, log_q: np.ndarray) -> float:
+    """Mean KL of student log-probabilities ``log_q`` (classes x samples)
+    against ``_teacher_terms`` output."""
+    return _kl_mean(_kl_per_sample(terms, log_q))
 
 
 def _kl_against(terms, logits: np.ndarray) -> float:
@@ -447,8 +459,9 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
 
     n_samples = data.shape[1]
     bs = min(opt_cfg.batch_size, n_samples)
-    # per batch start: the teacher's (p, log p) and B_0 @ batch, which no
-    # iteration on that batch changes
+    # per batch start: the teacher's log p and B_0 @ batch, which no
+    # iteration on that batch changes; p is formed from log p each
+    # iteration, as _teacher_terms forms it, to keep the cache a third smaller
     batches: dict[int, tuple] = {}
     trajectory: list[TrajectoryPoint] = []
     net = _Net(model.factors, model.nonlinearity, fermi_cfg)
@@ -464,8 +477,9 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
             if start not in batches:
                 batch = data[:, (start + np.arange(bs)) % n_samples]
                 logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-                batches[start] = (_teacher_terms(logits), model.factors[0].B @ batch)
-            teacher, u0 = batches[start]
+                batches[start] = (_log_softmax(logits, axis=0), model.factors[0].B @ batch)
+            log_p, u0 = batches[start]
+            teacher = (np.exp(log_p), log_p)
 
             rho = rho_at(t)
             kl, g = _loss_grad(net, teacher, u0, mu, budget, rho)

@@ -125,9 +125,9 @@ def cholesky_whiten(C) -> np.ndarray:
         raise NotSymmetric("C deviates from symmetry by more than 1e-8 relative")
     diag_mean = float(np.mean(np.diag(C)))
     for rel in JITTER_LADDER:
-        eps = rel * diag_mean
         try:
-            return np.linalg.cholesky(C + eps * np.eye(n))
+            # the zero rung factors C itself, without two n x n temporaries
+            return np.linalg.cholesky(C + rel * diag_mean * np.eye(n) if rel else C)
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefinite(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,43 +52,45 @@ CALIB_FORMAT = "lrcompress-calib"
 
 def write_matrix(path, M) -> None:
     """Write a 2-D array as an LRMX file with an exact f64 payload."""
-    M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=_DTYPES[DTYPE_F64])
     if M.ndim != 2:
         raise PackageFormatError(f"can only store 2-D matrices, got ndim={M.ndim}")
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64, 0, M.shape[0], M.shape[1])
-    payload = M.astype(_DTYPES[DTYPE_F64]).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        # the buffer of a C-contiguous array is its row-major bytes: no copy
+        fh.write(np.ascontiguousarray(M))
 
 
 def read_matrix(path) -> np.ndarray:
     """Read an LRMX file back as a float64 array (f32 payloads are upcast).
     A malformed header or payload, NaN or Inf included, raises PackageFormatError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise PackageFormatError(f"{path}: truncated header")
-    magic, version, code, reserved, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise PackageFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise PackageFormatError(f"{path}: unsupported version {version}")
-    if code not in _DTYPES:
-        raise PackageFormatError(f"{path}: unknown dtype code {code}")
-    if reserved != 0:
-        raise PackageFormatError(f"{path}: reserved byte is {reserved}, expected 0")
-    dt = _DTYPES[code]
-    expected = rows * cols * dt.itemsize
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise PackageFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype=dt).reshape(rows, cols)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise PackageFormatError(f"{path}: truncated header")
+        magic, version, code, reserved, rows, cols = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise PackageFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise PackageFormatError(f"{path}: unsupported version {version}")
+        if code not in _DTYPES:
+            raise PackageFormatError(f"{path}: unknown dtype code {code}")
+        if reserved != 0:
+            raise PackageFormatError(f"{path}: reserved byte is {reserved}, expected 0")
+        dt = _DTYPES[code]
+        expected = rows * cols * dt.itemsize
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise PackageFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        # the payload is read straight into the array it is returned in
+        data = np.empty((rows, cols), dtype=dt)
+        got = fh.readinto(data)
+    if got != expected:
+        raise PackageFormatError(f"{path}: payload is {got} bytes, expected {expected}")
     if not np.isfinite(data).all():
         raise PackageFormatError(f"{path}: payload holds NaN or Inf")
-    return data.astype(np.float64)
+    return data.astype(np.float64, copy=False)
 
 
 def write_indices(path, idx) -> None:
@@ -318,9 +321,9 @@ def teacher_digest(model: ToyModel) -> str:
     h.update(spec)
     h.update(struct.pack("<q", model.n_inc))
     for W in model.dense_weights:
-        W = np.asarray(W, dtype="<f8")
+        W = np.ascontiguousarray(W, dtype="<f8")
         h.update(struct.pack("<QQ", *W.shape))
-        h.update(np.ascontiguousarray(W).tobytes())
+        h.update(W)
     return h.hexdigest()
 
 

@@ -1,5 +1,6 @@
 """File formats: LRMX round trips, package manifests, CSV and reports."""
 
+import hashlib
 import json
 import struct
 
@@ -103,6 +104,34 @@ class TestMatrixFile:
         path.write_bytes(mio._HEADER.pack(mio.MAGIC, mio.VERSION, code, 0, 3, 4)
                          + M.astype(dtype).tobytes())
         with pytest.raises(PackageFormatError, match="nonfinite.lrmx: payload holds NaN or Inf"):
+            mio.read_matrix(path)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided", "f32", "int"])
+    def test_written_bytes_are_the_row_major_f64_values(self, tmp_path, layout):
+        M = np.random.default_rng(4).standard_normal((6, 5))
+        stored = {"C": M, "F": np.asfortranarray(M), "transposed": M.T.copy().T,
+                  "strided": np.repeat(M, 2, axis=1)[:, ::2], "f32": M.astype(np.float32),
+                  "int": np.arange(30).reshape(6, 5)}[layout]
+        path = tmp_path / "m.lrmx"
+        mio.write_matrix(path, stored)
+        header = mio._HEADER.pack(mio.MAGIC, mio.VERSION, mio.DTYPE_F64, 0, 6, 5)
+        assert path.read_bytes() == header + np.asarray(stored).astype("<f8").tobytes()
+
+    def test_read_returns_an_owned_writable_array(self, tmp_path):
+        path = tmp_path / "m.lrmx"
+        mio.write_matrix(path, np.arange(6.0).reshape(2, 3))
+        back = mio.read_matrix(path)
+        assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
+
+    @pytest.mark.parametrize("change, size", [(-8, 64), (1, 73), (8, 80)],
+                             ids=["short", "one-byte-long", "one-value-long"])
+    def test_payload_length_refused_with_its_size(self, tmp_path, change, size):
+        path = tmp_path / "len.lrmx"
+        mio.write_matrix(path, np.ones((3, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
+        with pytest.raises(PackageFormatError,
+                           match=f"len.lrmx: payload is {size} bytes, expected 72"):
             mio.read_matrix(path)
 
 
@@ -270,6 +299,17 @@ class TestCalibrationPackage:
         bumped[2, 3] = np.nextafter(bumped[2, 3], np.inf)
         assert base != weights_digest([bumped])
 
+
+    def test_digest_hashes_the_documented_bytes(self):
+        spec = tm.ToyModelSpec(layer_shapes=[(3, 4), (2, 3)], planted_ranks=[2, 1])
+        weights = [np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+                   np.arange(6.0).reshape(3, 2).T]
+        h = hashlib.sha256()
+        text = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        h.update(struct.pack("<Q", len(text)) + text + struct.pack("<q", 5))
+        for W in weights:
+            h.update(struct.pack("<QQ", *W.shape) + W.astype("<f8").tobytes(order="C"))
+        assert mio.teacher_digest(tm.ToyModel(spec, weights, n_inc=5)) == h.hexdigest()
 
     def test_digest_covers_spec_and_n_inc(self):
         spec = tm.ToyModelSpec(layer_shapes=[(3, 4)], planted_ranks=[2])

@@ -5,11 +5,18 @@ lowrank + pivga layers) or a calibration package holding full-rank factors,
 and applies one damage: drop or retype a manifest key, truncate a file, or
 overwrite one of its bytes. Loading may then fail, but only with
 PackageFormatError (or OSError for a file that is gone); a package that
-still loads must hold only finite values and run.
+still loads must hold only finite values and run. A further damage
+overwrites one whole float64 value of a matrix file with NaN or Inf, which
+loading must refuse. Last, damaged desk calibration packages are handed to
+the fermigrad, compress and compare commands, which must exit 0, 3 or 4,
+and on a refusal print one JSON line and write nothing.
 """
 
+import contextlib
+import io
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -20,12 +27,15 @@ from lrcompress import PackageFormatError, pivga_factorize, plain_svd_compress
 from lrcompress import fermigrad
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
+from lrcompress.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 # Values of other JSON types that a manifest key is retyped to.
 RETYPED = [None, True, 0, -1, 3, 2**70, 1.5, "x", "", [], [4], [4, 4], {}, {"a": 1}]
+# Values one whole payload value is overwritten with.
+NONFINITE = [np.nan, np.inf, -np.inf]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +88,16 @@ def damages(draw, package):
     return kind, name, (draw(st.integers(0, size - 1)), draw(st.integers(0, 255)))
 
 
+@st.composite
+def nonfinite_damages(draw, package):
+    """One whole float64 value of one matrix file overwritten with NaN or +-Inf."""
+    files = sorted(p.name for p in package.iterdir() if p.suffix == ".lrmx")
+    name = draw(st.sampled_from(files))
+    values = ((package / name).stat().st_size - mio._HEADER.size) // 8
+    offset = mio._HEADER.size + 8 * draw(st.integers(0, values - 1))
+    return "nonfinite", name, (offset, draw(st.sampled_from(NONFINITE)))
+
+
 def _apply(pkg_dir: Path, damage) -> Path | None:
     """Damage the package in place; returns the damaged data file, if any."""
     kind, where, value = damage
@@ -94,11 +114,13 @@ def _apply(pkg_dir: Path, damage) -> Path | None:
         return None
     path = pkg_dir / where
     raw = bytearray(path.read_bytes())
-    offset, byte = value
+    offset, new = value
     if kind == "truncate":
         del raw[offset:]
+    elif kind == "nonfinite":
+        raw[offset:offset + 8] = struct.pack("<d", new)
     else:
-        raw[offset] = byte
+        raw[offset] = new
     path.write_bytes(bytes(raw))
     return path
 
@@ -153,5 +175,86 @@ def test_damaged_calibration_factors_fail_cleanly(calib_package):
             assert [f.shape for f in factors] == [(6, 8), (5, 6)]
             assert _all_finite([M for f in factors for M in (f.A, f.B)])
             assert fermigrad.run(factors, model.nonlinearity, X).shape == (5, 5)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["model", "calib"])
+def test_nonfinite_value_is_refused(kind, package, calib_package):
+    if kind == "model":
+        source, load = package, mio.load_model_package
+    else:
+        source, model = calib_package
+
+        def load(pkg_dir):
+            mio.load_calibration_package(pkg_dir)
+            mio.load_calibration_factors(pkg_dir, model)
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(nonfinite_damages(source))
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            pkg_dir = Path(tmp) / "pkg"
+            shutil.copytree(source, pkg_dir)
+            damaged = _apply(pkg_dir, damage)
+            message = f"{damaged.name}: payload holds NaN or Inf"
+            with pytest.raises(PackageFormatError, match=message):
+                mio.read_matrix(damaged)
+            with pytest.raises(PackageFormatError, match=message):
+                load(pkg_dir)
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def desk_chain(tmp_path_factory):
+    """A desk teacher, its calibration package and a ranks file, made through the CLI."""
+    root = tmp_path_factory.mktemp("fuzzcli")
+    teacher, calib, ranks = root / "teacher", root / "calib", root / "ranks.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-teacher", "--seed", "0", "--out", str(teacher)]) == EXIT_OK
+        assert main(["calibrate", "--model", str(teacher), "--samples", "128", "--seed", "11",
+                     "--out", str(calib)]) == EXIT_OK
+    ranks.write_text(json.dumps({"ranks": [8, 16, 24, 40]}))
+    return teacher, calib, ranks
+
+
+def _commands(teacher: Path, calib: Path, ranks: Path, out: Path) -> dict:
+    """fermigrad, compress and compare on the package ``calib``, each writing only
+    into its own directory under ``out``."""
+    T, C = str(teacher), str(calib)
+    f, k, q = out / "fermigrad", out / "compress", out / "compare"
+    return {
+        f: ["fermigrad", "--model", T, "--calib", C, "--target-ratio", "0.6", "--iters", "20",
+            "--kl-samples", "64", "--out-ranks", str(f / "r.json"),
+            "--trajectory", str(f / "t.csv"), "--report", str(f / "f.json")],
+        k: ["compress", "--model", T, "--calib", C, "--ranks", str(ranks),
+            "--out", str(k / "student"), "--report", str(k / "k.json")],
+        q: ["compare", "--model", T, "--calib", C, "--ranks", f"mine={ranks}", "--uniform",
+            "--target-ratio", "0.6", "--samples", "64", "--out", str(q / "q.json")],
+    }
+
+
+def test_damaged_calibration_package_under_the_cli(desk_chain):
+    teacher, package, ranks = desk_chain
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(damages(package), nonfinite_damages(package)))
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            calib = Path(tmp) / "calib"
+            shutil.copytree(package, calib)
+            _apply(calib, damage)
+            for out, argv in _commands(teacher, calib, ranks, Path(tmp)).items():
+                out.mkdir()
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (EXIT_OK, EXIT_IO, EXIT_FORMAT), (damage, argv[0], code)
+                if code != EXIT_OK:
+                    lines = err.getvalue().strip().splitlines()
+                    assert len(lines) == 1, (damage, argv[0], lines)
+                    assert set(json.loads(lines[0])) == {"error", "message"}
+                    assert not any(out.iterdir()), (damage, argv[0])
 
     check()

@@ -1,6 +1,7 @@
 """Planted-rank teachers, calibration generation, mode agreement, oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,85 @@ class TestEvaluateAllocation:
                 assert kl <= kl_prev * 1.05 + 1e-9
                 kl_prev = kl
             assert kl_prev < kl_start
+
+
+
+class TestBlockedScoring:
+    """evaluate_allocations scores samples in column blocks: 64 samples wide on
+    the desk model once ``_BLOCK_VALUES`` is 64 x 64."""
+
+    ALLOCATIONS = [[6, 10, 14, 30], [64, 64, 64, 64], [1, 64, 2, 8]]
+
+    @pytest.fixture
+    def held_out(self, default_model):
+        """Three blocks of 64 samples and a ragged one of 40."""
+        spec, model, _ = default_model
+        return model, gen_calibration(spec, 232, seed=21)
+
+    def test_blocks_give_the_bits_of_one_block(self, held_out, monkeypatch):
+        model, X = held_out
+        monkeypatch.setattr(tm, "_BLOCK_VALUES", 10**9)
+        whole = evaluate_allocations(model, X, self.ALLOCATIONS)
+        monkeypatch.setattr(tm, "_BLOCK_VALUES", 64 * 64)
+        blocked = evaluate_allocations(model, X, self.ALLOCATIONS)
+        for got, want in zip(blocked, whole, strict=True):
+            assert np.float64(got.kl).tobytes() == np.float64(want.kl).tobytes()
+            assert got.to_dict() == want.to_dict()
+
+    def test_teacher_runs_once_per_block(self, held_out, monkeypatch):
+        model, X = held_out
+        widths = []
+        dense_forward = fg.dense_forward
+        monkeypatch.setattr(fg, "dense_forward",
+                            lambda *a: widths.append(a[2].shape[1]) or dense_forward(*a))
+        monkeypatch.setattr(tm, "_BLOCK_VALUES", 64 * 64)
+        evaluate_allocations(model, X, self.ALLOCATIONS)
+        assert widths == [64, 64, 64, 40]
+
+    def test_duplicates_scored_once_and_reported_apart(self, held_out, monkeypatch):
+        model, X = held_out
+        a, b = [6, 10, 14, 30], [1, 64, 2, 8]
+        students = []
+        hard_forward = fg.hard_forward
+        monkeypatch.setattr(fg, "hard_forward",
+                            lambda *args: students.append(tuple(args[3])) or hard_forward(*args))
+        monkeypatch.setattr(tm, "_BLOCK_VALUES", 64 * 64)
+        reports = evaluate_allocations(model, X, [a, b, np.array(a), a])
+        assert students == [tuple(a), tuple(b)] * 4
+        assert reports[0].to_dict() == reports[2].to_dict() == reports[3].to_dict()
+        assert reports[1].to_dict() == evaluate_allocation(model, X, b).to_dict()
+        arrays = [x for rep in reports for x in (rep.ranks, rep.per_layer_residual)]
+        assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(arrays, 2))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0, 10, 14, 30], "outside boxes"),
+        ([6, 10, 14], "ranks \\[6, 10, 14\\] for 4 layers"),
+    ], ids=["outside-box", "too-few"])
+    def test_every_tuple_checked_before_any_forward(self, held_out, monkeypatch, bad, message):
+        model, X = held_out
+        calls = []
+        monkeypatch.setattr(fg, "dense_forward", lambda *a: calls.append("teacher"))
+        monkeypatch.setattr(fg, "hard_forward", lambda *a: calls.append("student"))
+        with pytest.raises(DimensionMismatch, match=message):
+            evaluate_allocations(model, X, [[6, 10, 14, 30], bad])
+        assert calls == []
+
+    def test_holds_a_block_of_activations_not_all_samples(self, default_model, monkeypatch):
+        spec, model, _ = default_model
+        X = gen_calibration(spec, 4096, seed=22)   # 64 blocks
+        monkeypatch.setattr(tm, "_BLOCK_VALUES", 64 * 64)
+        allocations = [[6, 10, 14, 30], spec.caps()]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            evaluate_allocations(model, X, allocations)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 64 x 4096 activation is 2 MiB and a block of it 32 KiB: the bound
+        # is 16 blocks, where scoring all samples at once held about six
+        # whole activations
+        assert peak - before < X.nbytes / 4
 
 
 def reference_brute_force(model, data, budget, grid_step=1, r_min=1):
