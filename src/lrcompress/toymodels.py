@@ -193,9 +193,8 @@ def default_spec(seed: int = 0) -> ToyModelSpec:
 
 def _seeded_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
     """Orthonormal columns with a canonical sign (QR of a Gaussian draw)."""
-    G = rng.standard_normal((rows, rows))
-    Q, R = np.linalg.qr(G)
-    Q = Q * np.sign(np.diag(R))
+    Q, R = np.linalg.qr(rng.standard_normal((rows, rows)))
+    Q *= np.sign(np.diag(R))
     return Q[:, :cols]
 
 
@@ -233,9 +232,8 @@ def gen_calibration(spec: ToyModelSpec, n_samples: int, seed: int) -> np.ndarray
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n0 = spec.input_dim
     orient_rng = np.random.default_rng([spec.seed, 0xCA11B])
-    Q = _seeded_orthonormal(orient_rng, n0, n0)
-    lam = np.logspace(0.0, -np.log10(CALIB_COND), n0)
-    scale = Q * np.sqrt(lam)
+    scale = _seeded_orthonormal(orient_rng, n0, n0)
+    scale *= np.sqrt(np.logspace(0.0, -np.log10(CALIB_COND), n0))
     draw_rng = np.random.default_rng([seed, 0xDA7A])
     return scale @ draw_rng.standard_normal((n0, n_samples))
 
@@ -376,7 +374,11 @@ def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
 
 def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
     """Relative residual ||W - A_r B_r||_F / ||W||_F of each layer at its rank."""
-    return np.array([np.linalg.norm(W - f.truncated(int(r)).reconstruct()) / np.linalg.norm(W)
+
+    def relative(W, R):  # W - R is written into R's buffer
+        return np.linalg.norm(np.subtract(W, R, out=R)) / np.linalg.norm(W)
+
+    return np.array([relative(W, f.truncated(int(r)).reconstruct())
                      for W, f, r in zip(model.dense_weights, model.factors, ranks)])
 
 

@@ -1,5 +1,6 @@
 """Fermi gates, penalty machinery, exact gradients, and the rank optimizer."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -503,6 +504,49 @@ class TestLoopEquivalence:
         assert len(traj) == 12                           # 3 epochs of 4 batches
         assert len(teacher_runs) == 4
         assert B0.products == 4
+
+    @pytest.mark.parametrize("n_samples, iters, passes", [
+        (4 * 16 - 1, 13, 4),     # 3 epochs and more, every batch start a new one
+        (10 * 16, 3, 3),         # the cap reaches 3 of the 10 batches
+    ])
+    def test_teacher_and_first_layer_product_once_per_reachable_batch(
+            self, monkeypatch, n_samples, iters, passes):
+        spec, model, _ = small_model(seed=13)
+        data = tm.gen_calibration(spec, n_samples, seed=113)
+        teacher_runs = []
+
+        def counting_dense_forward(*args):
+            teacher_runs.append(args[2].shape[1])
+            return fg.run(args[0], args[1], args[2])
+
+        monkeypatch.setattr(fg, "dense_forward", counting_dense_forward)
+        B0 = model.factors[0].B.view(CountingMatrix)
+        B0.products = 0
+        model.factors[0].B = B0
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e6)
+        opt = OptimizerConfig(step_size=0.5, max_iters=iters, mu_tol=1e-300, batch_size=16)
+        traj, _ = optimize_ranks(model, data, budget, FermiConfig(r_min=2), RhoSchedule(), opt)
+        assert len(traj) == iters
+        assert len(teacher_runs) == B0.products == passes
+        assert sum(teacher_runs) == min(n_samples, iters * 16)
+
+    def test_memory_held_does_not_grow_with_unaligned_sample_counts(self):
+        # at 16k - 1 samples every iteration starts a batch at a new sample
+        spec, model, _ = small_model(seed=13, shapes=((64, 64), (64, 64)), planted=(8, 16))
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e6)
+        opt = OptimizerConfig(step_size=0.5, max_iters=300, mu_tol=1e-300, batch_size=16)
+        peaks = []
+        for n_samples in (16 * 16, 16 * 16 - 1):
+            data = tm.gen_calibration(spec, n_samples, seed=113)
+            tracemalloc.start()
+            try:
+                optimize_ranks(model, data, budget, FermiConfig(r_min=2), RhoSchedule(), opt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestPerRunSetUp:

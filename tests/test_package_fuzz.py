@@ -8,8 +8,9 @@ PackageFormatError (or OSError for a file that is gone); a package that
 still loads must hold only finite values and run. A further damage
 overwrites one whole float64 value of a matrix file with NaN or Inf, which
 loading must refuse. Last, damaged desk calibration packages are handed to
-the fermigrad, compress and compare commands, which must exit 0, 3 or 4,
-and on a refusal print one JSON line and write nothing.
+the fermigrad, compress and compare commands, and damaged desk teacher
+packages to those and calibrate. Each must exit 0, 3 or 4, and on a
+refusal print one JSON line and write nothing.
 """
 
 import contextlib
@@ -256,5 +257,40 @@ def test_damaged_calibration_package_under_the_cli(desk_chain):
                     assert len(lines) == 1, (damage, argv[0], lines)
                     assert set(json.loads(lines[0])) == {"error", "message"}
                     assert not any(out.iterdir()), (damage, argv[0])
+
+    check()
+
+
+def _check_exits(damage, commands: dict) -> None:
+    """Run each argv of ``commands`` through the CLI: it exits 0, 3 or 4, and a
+    refusal prints one JSON line and leaves its output directory empty."""
+    for out, argv in commands.items():
+        out.mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_IO, EXIT_FORMAT), (damage, argv[0], code)
+        if code != EXIT_OK:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1, (damage, argv[0], lines)
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not any(out.iterdir()), (damage, argv[0])
+
+
+def test_damaged_teacher_package_under_the_cli(desk_chain):
+    package, _, ranks = desk_chain
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(damages(package), nonfinite_damages(package)))
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            teacher, c = Path(tmp) / "teacher", Path(tmp) / "calibrate"
+            shutil.copytree(package, teacher)
+            _apply(teacher, damage)
+            # the later commands read what calibrate made of the damaged teacher
+            commands = {c: ["calibrate", "--model", str(teacher), "--samples", "64",
+                            "--seed", "11", "--out", str(c / "calib")]}
+            commands.update(_commands(teacher, c / "calib", ranks, Path(tmp)))
+            _check_exits(damage, commands)
 
     check()
