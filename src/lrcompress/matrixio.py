@@ -18,7 +18,9 @@ files are raw little-endian u64 sequences. A model package is a directory with a
 manifest.json naming every layer, its shape and representation
 (dense | lowrank | pivga) and the files holding its factors. A calibration
 package holds each layer's C matrix and full-rank data-aware factors, plus
-the digest of the teacher they belong to.
+the digest of the teacher they belong to. A manifest of a version other than 1
+is refused. Both package kinds store their arrays through one table of files
+and shapes (``_stored_shapes``) and read them back through one checked reader.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _DTYPES = {DTYPE_F64: np.dtype("<f8"), DTYPE_F32: np.dtype("<f4")}
 
 MODEL_FORMAT = "lrcompress-model"
 CALIB_FORMAT = "lrcompress-calib"
+_MANIFEST_VERSION = 1
 
 
 def write_matrix(path, M) -> None:
@@ -169,11 +172,49 @@ def _read_manifest(path: Path, expected_format: str) -> dict:
         raise PackageFormatError(
             f"{path}: format is {manifest.get('format')!r}, expected {expected_format!r}"
         )
-    return check_fields(manifest, path, layers="list")
+    check_fields(manifest, path, version="int", layers="list")
+    if manifest["version"] != _MANIFEST_VERSION:
+        raise PackageFormatError(f"{path}: unsupported version {manifest['version']}")
+    return manifest
 
 
-# The files each layer representation stores, by their key in "files".
-_LAYER_FILES = {"dense": ("W",), "lowrank": ("A", "B"), "pivga": ("C", "D", "perm")}
+def _write_manifest(out: Path, fmt: str, **fields) -> None:
+    write_report(out / "manifest.json", {"format": fmt, "version": _MANIFEST_VERSION, **fields})
+
+
+def _stored_shapes(kind: str, m: int, n: int, r) -> dict:
+    """The files an m x n layer stored as ``kind`` (at rank ``r``) has, by their
+    key in "files", and the shape each must have."""
+    if kind == "dense":
+        return {"W": (m, n)}
+    if kind == "lowrank":
+        return {"A": (m, r), "B": (r, n)}
+    if kind == "pivga":
+        return {"C": (m, r), "D": (r, n - r), "perm": (n,)}
+    raise PackageFormatError(f"unknown layer repr {kind!r}")
+
+
+def _write_files(out: Path, name: str, arrays: dict) -> dict:
+    """Write each array to ``<name>.<key>.lrmx``, a permutation to ``<name>.perm.idx``;
+    returns the file names by key."""
+    files = {key: f"{name}.{key}.{'idx' if key == 'perm' else 'lrmx'}" for key in arrays}
+    for key, M in arrays.items():
+        (write_indices if key == "perm" else write_matrix)(out / files[key], M)
+    return files
+
+
+def _read_files(src: Path, files, where: str, shapes: dict) -> dict:
+    """Read the file named in ``files`` for each key of ``shapes`` from ``src``.
+    A missing or non-string name, or any file whose shape is not the one in
+    ``shapes``, raises PackageFormatError."""
+    check_fields(files, f"{where} files", **dict.fromkeys(shapes, "str"))
+    arrays = {key: (read_indices if key == "perm" else read_matrix)(src / files[key])
+              for key in shapes}
+    if any(arrays[key].shape != shape for key, shape in shapes.items()):
+        found = " and ".join(f"{key} is {arrays[key].shape}" for key in shapes)
+        raise PackageFormatError(
+            f"{where}: {found}; needs {' and '.join(map(str, shapes.values()))}")
+    return arrays
 
 
 @dataclass
@@ -220,36 +261,20 @@ def save_model_package(out_dir, spec: ToyModelSpec | None, layers, n_inc: int = 
     for l, payload in enumerate(layers):
         name = f"layer_{l:02d}"
         if isinstance(payload, np.ndarray):
-            fname = f"{name}.W.lrmx"
-            write_matrix(out / fname, payload)
-            entries.append({"name": name, "shape": list(payload.shape),
-                            "repr": "dense", "files": {"W": fname}})
+            entry, arrays = {"repr": "dense", "shape": payload.shape}, {"W": payload}
         elif isinstance(payload, LowRankFactors):
-            fa, fb = f"{name}.A.lrmx", f"{name}.B.lrmx"
-            write_matrix(out / fa, payload.A)
-            write_matrix(out / fb, payload.B)
-            entries.append({"name": name, "shape": list(payload.shape),
-                            "repr": "lowrank", "rank": payload.rank,
-                            "files": {"A": fa, "B": fb}})
+            entry = {"repr": "lowrank", "shape": payload.shape, "rank": payload.rank}
+            arrays = {"A": payload.A, "B": payload.B}
         elif isinstance(payload, PivGaFactors):
-            fc, fd, fp = f"{name}.C.lrmx", f"{name}.D.lrmx", f"{name}.perm.idx"
-            write_matrix(out / fc, payload.Cmat)
-            write_matrix(out / fd, payload.D)
-            write_indices(out / fp, payload.perm)
-            entries.append({"name": name,
-                            "shape": [payload.Cmat.shape[0], payload.n_cols],
-                            "repr": "pivga", "rank": payload.rank,
-                            "files": {"C": fc, "D": fd, "perm": fp}})
+            entry = {"repr": "pivga", "shape": (payload.Cmat.shape[0], payload.n_cols),
+                     "rank": payload.rank}
+            arrays = {"C": payload.Cmat, "D": payload.D, "perm": payload.perm}
         else:
             raise PackageFormatError(f"unsupported layer payload {type(payload)!r}")
-    manifest = {
-        "format": MODEL_FORMAT,
-        "version": 1,
-        "n_inc": n_inc,
-        "spec": spec.to_dict() if spec is not None else None,
-        "layers": entries,
-    }
-    write_report(out / "manifest.json", manifest)
+        entries.append({**entry, "name": name, "shape": list(entry["shape"]),
+                        "files": _write_files(out, name, arrays)})
+    _write_manifest(out, MODEL_FORMAT, n_inc=n_inc, layers=entries,
+                    spec=spec.to_dict() if spec is not None else None)
 
 
 def load_model_package(in_dir) -> LoadedPackage:
@@ -265,41 +290,25 @@ def load_model_package(in_dir) -> LoadedPackage:
         spec = ToyModelSpec.from_dict(manifest["spec"])
     layers = []
     for l, entry in enumerate(manifest["layers"]):
-        where = f"{path}: layer {l}"
-        check_fields(entry, where, name="str", repr="str", shape="int pair", files="object")
-        kind = entry["repr"]
-        if kind not in _LAYER_FILES:
-            raise PackageFormatError(f"unknown layer repr {kind!r}")
-        files = check_fields(entry["files"], f"{where} files",
-                             **dict.fromkeys(_LAYER_FILES[kind], "str"))
+        check_fields(entry, f"{path}: layer {l}", name="str", repr="str", shape="int pair",
+                     files="object")
+        where, kind = f"{path}: {entry['name']}", entry["repr"]
         m, n = shape = tuple(entry["shape"])
+        r = None
         if kind != "dense":
             r = check_fields(entry, where, rank="int")["rank"]
             if not 1 <= r <= min(m, n):
                 raise PackageFormatError(f"{where}: rank {r} outside [1, {min(m, n)}]")
+        arrays = _read_files(src, entry["files"], where, _stored_shapes(kind, m, n, r))
         if kind == "dense":
-            payload = read_matrix(src / files["W"])
-            if payload.shape != shape:
-                raise PackageFormatError(
-                    f"{entry['name']}: file shape {payload.shape} != manifest {shape}"
-                )
+            payload = arrays["W"]
         elif kind == "lowrank":
-            A, B = read_matrix(src / files["A"]), read_matrix(src / files["B"])
-            if A.shape != (m, r) or B.shape != (r, n):
-                raise PackageFormatError(f"{entry['name']}: factor shapes disagree with manifest")
-            payload = LowRankFactors(A=A, B=B)
+            payload = LowRankFactors(**arrays)
         else:
-            Cmat, D = read_matrix(src / files["C"]), read_matrix(src / files["D"])
-            if Cmat.shape != (m, r) or D.shape != (r, n - r):
-                raise PackageFormatError(
-                    f"{entry['name']}: C is {Cmat.shape} and D is {D.shape}, manifest "
-                    f"shape {shape} at rank {r} needs {(m, r)} and {(r, n - r)}"
-                )
-            perm = read_indices(src / files["perm"])
-            if len(perm) != n or sorted(perm.tolist()) != list(range(n)):
-                raise PackageFormatError(f"{entry['name']}: invalid permutation")
-            payload = PivGaFactors(Cmat=Cmat, D=D, perm=perm, rank=r, n_cols=n,
-                                   cond_b0=float("nan"))
+            if sorted(arrays["perm"].tolist()) != list(range(n)):
+                raise PackageFormatError(f"{where}: invalid permutation")
+            payload = PivGaFactors(Cmat=arrays["C"], D=arrays["D"], perm=arrays["perm"],
+                                   rank=r, n_cols=n, cond_b0=float("nan"))
         layers.append(PackageLayer(name=entry["name"], shape=shape, kind=kind,
                                    payload=payload))
     return LoadedPackage(spec=spec, n_inc=manifest["n_inc"], layers=layers)
@@ -336,19 +345,13 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for l, C in enumerate(mats):
+    for l, (C, f) in enumerate(zip(mats, model.factors, strict=True)):
         name = f"layer_{l:02d}"
-        fname = f"{name}.C.lrmx"
-        write_matrix(out / fname, C)
-        entries.append({"name": name, "file": fname, "dim": int(C.shape[0])})
-    for entry, f in zip(entries, model.factors):
-        files = {key: f"{entry['name']}.{key}.lrmx" for key in ("A", "B")}
-        write_matrix(out / files["A"], f.A)
-        write_matrix(out / files["B"], f.B)
-        entry["factors"] = files
-    manifest = {"format": CALIB_FORMAT, "version": 1, "samples": samples,
-                "seed": seed, "layers": entries, "teacher_sha256": teacher_digest(model)}
-    write_report(out / "manifest.json", manifest)
+        files = _write_files(out, name, {"C": C, "A": f.A, "B": f.B})
+        entries.append({"name": name, "file": files.pop("C"), "dim": int(C.shape[0]),
+                        "factors": files})
+    _write_manifest(out, CALIB_FORMAT, samples=samples, seed=seed, layers=entries,
+                    teacher_sha256=teacher_digest(model))
 
 
 def _read_calibration_manifest(path: Path) -> dict:
@@ -360,13 +363,10 @@ def _read_calibration_manifest(path: Path) -> dict:
 
 def load_calibration_package(in_dir) -> list:
     src = Path(in_dir)
-    mats = []
-    for entry in _read_calibration_manifest(src / "manifest.json")["layers"]:
-        C = read_matrix(src / entry["file"])
-        if C.shape != (entry["dim"], entry["dim"]):
-            raise PackageFormatError(f"{entry['name']}: calibration matrix shape mismatch")
-        mats.append(C)
-    return mats
+    path = src / "manifest.json"
+    return [_read_files(src, {"C": entry["file"]}, f"{path}: {entry['name']}",
+                        {"C": (entry["dim"], entry["dim"])})["C"]
+            for entry in _read_calibration_manifest(path)["layers"]]
 
 
 def load_calibration_factors(in_dir, model: ToyModel) -> list:
@@ -396,19 +396,12 @@ def load_calibration_factors(in_dir, model: ToyModel) -> list:
             f"{path}: {len(manifest['layers'])} layers for {len(weights)} teacher layers"
         )
     factors = []
-    for l, (entry, W) in enumerate(zip(manifest["layers"], weights)):
-        where = f"{path}: layer {l}"
-        files = check_fields(check_fields(entry, where, factors="object")["factors"],
-                             f"{where} factors", A="str", B="str")
-        A, B = read_matrix(src / files["A"]), read_matrix(src / files["B"])
+    for entry, W in zip(manifest["layers"], weights):
+        where = f"{path}: {entry['name']}"
+        check_fields(entry, where, factors="object")
         m, n = W.shape
-        k = min(m, n)
-        if A.shape != (m, k) or B.shape != (k, n):
-            raise PackageFormatError(
-                f"{where}: A is {A.shape} and B is {B.shape}, teacher layer {(m, n)} "
-                f"needs {(m, k)} and {(k, n)}"
-            )
-        factors.append(LowRankFactors(A=A, B=B))
+        shapes = _stored_shapes("lowrank", m, n, min(m, n))
+        factors.append(LowRankFactors(**_read_files(src, entry["factors"], where, shapes)))
     return factors
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -12,6 +13,17 @@ from lrcompress import (LowRankFactors, PackageFormatError, PivGaFactors, pivga_
 from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
 from lrcompress.fermigrad import TrajectoryPoint, dense_forward
+
+
+def save_small_calibration(pkg):
+    """Calibrate a two-layer toy teacher, store its package in ``pkg`` and
+    return the teacher."""
+    spec = tm.ToyModelSpec(layer_shapes=[(4, 6), (3, 4)], planted_ranks=[2, 2])
+    model = tm.build_teacher(spec)
+    mats = tm.layer_calibration_matrices(model, tm.gen_calibration(spec, 20, seed=3))
+    tm.attach_factors_from_calibration(model, mats)
+    mio.save_calibration_package(pkg, mats, samples=20, seed=3, model=model)
+    return model
 
 
 class TestMatrixFile:
@@ -181,28 +193,6 @@ class TestModelPackage:
         ref = dense_forward([W, f.reconstruct(), pf.reconstruct()], "tanh", X)
         assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_pivga_factor_shapes_checked_on_load(self, tmp_path):
-        rng = np.random.default_rng(6)
-        pf = pivga_factorize(plain_svd_compress(rng.standard_normal((10, 12)), 4))
-        mio.save_model_package(tmp_path / "pkg", None, [pf])
-        mio.write_matrix(tmp_path / "pkg" / "layer_00.D.lrmx", pf.D[:, :-3])
-        with pytest.raises(PackageFormatError, match="D is"):
-            mio.load_model_package(tmp_path / "pkg")
-        mio.write_matrix(tmp_path / "pkg" / "layer_00.D.lrmx", pf.D)
-        mio.write_matrix(tmp_path / "pkg" / "layer_00.C.lrmx", pf.Cmat[:-1])
-        with pytest.raises(PackageFormatError, match="C is"):
-            mio.load_model_package(tmp_path / "pkg")
-
-    def test_lowrank_factor_shapes_checked_on_load(self, tmp_path):
-        rng = np.random.default_rng(8)
-        f = plain_svd_compress(rng.standard_normal((10, 12)), 4)
-        mio.save_model_package(tmp_path / "pkg", None, [f])
-        for name, M in (("A", f.A[:, :-1]), ("B", f.B[:-1])):
-            mio.write_matrix(tmp_path / "pkg" / f"layer_00.{name}.lrmx", M)
-            with pytest.raises(PackageFormatError, match="factor shapes disagree"):
-                mio.load_model_package(tmp_path / "pkg")
-            mio.save_model_package(tmp_path / "pkg", None, [f])
-
     @pytest.mark.parametrize("rank", [0, 70])
     def test_lowrank_rank_outside_box_refused(self, tmp_path, rank):
         # the files agree with the manifest, so only the rank bound refuses them
@@ -230,6 +220,25 @@ class TestModelPackage:
         with pytest.raises(PackageFormatError):
             mio.load_model_package(tmp_path / "pkg")
 
+    @pytest.mark.parametrize("package, version", [
+        ("model", "banana"), ("calib", 7), ("model", True), ("calib", 1.0), ("model", None),
+    ], ids=["str", "seven", "bool", "float", "missing"])
+    def test_manifest_version_other_than_1_refused(self, tmp_path, package, version):
+        if package == "model":
+            mio.save_model_package(tmp_path / "pkg", None, [np.ones((3, 4))])
+            load = mio.load_model_package
+        else:
+            save_small_calibration(tmp_path / "pkg")
+            load = mio.load_calibration_package
+        manifest = json.loads((tmp_path / "pkg" / "manifest.json").read_text())
+        if version is None:
+            del manifest["version"]
+        else:
+            manifest["version"] = version
+        (tmp_path / "pkg" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PackageFormatError, match="version"):
+            load(tmp_path / "pkg")
+
     def test_empty_layer_list_rejected(self, tmp_path):
         mio.save_model_package(tmp_path / "pkg", None, [])
         with pytest.raises(PackageFormatError, match="no layers"):
@@ -244,6 +253,46 @@ class TestModelPackage:
         y1 = mio.package_forward(pkg, X)
         y2 = dense_forward(model.dense_weights, model.nonlinearity, X)
         assert np.allclose(y1, y2, atol=1e-12)
+
+
+# Every key a package stores, with the layer that holds it: the model package
+# below stores a dense, a lowrank and a pivga layer.
+STORED_KEYS = [
+    ("model", "layer_00", "W"), ("model", "layer_01", "A"), ("model", "layer_01", "B"),
+    ("model", "layer_02", "C"), ("model", "layer_02", "D"), ("model", "layer_02", "perm"),
+    ("calib", "layer_01", "C"), ("calib", "layer_01", "A"), ("calib", "layer_01", "B"),
+]
+
+
+@pytest.mark.parametrize("package, layer, key", STORED_KEYS,
+                         ids=[f"{package}-{key}" for package, _, key in STORED_KEYS])
+def test_every_stored_key_is_shape_checked_on_load(tmp_path, package, layer, key):
+    """A stored file one row (or, for the permutation, one entry) short is
+    refused with a message naming its layer, its key and its shape."""
+    rng = np.random.default_rng(6)
+    if package == "model":
+        f = plain_svd_compress(rng.standard_normal((10, 12)), 4)
+        mio.save_model_package(tmp_path / "pkg", None,
+                               [rng.standard_normal((10, 12)), f, pivga_factorize(f)])
+        load = mio.load_model_package
+    else:
+        model = save_small_calibration(tmp_path / "pkg")
+
+        def load(pkg_dir):
+            mio.load_calibration_package(pkg_dir)
+            mio.load_calibration_factors(pkg_dir, model)
+
+    if key == "perm":
+        path = tmp_path / "pkg" / f"{layer}.perm.idx"
+        short = mio.read_indices(path)[:-1]
+        mio.write_indices(path, short)
+    else:
+        path = tmp_path / "pkg" / f"{layer}.{key}.lrmx"
+        short = mio.read_matrix(path)[:-1]
+        mio.write_matrix(path, short)
+    message = rf"{layer}: .*\b{key} is {re.escape(str(short.shape))}"
+    with pytest.raises(PackageFormatError, match=message):
+        load(tmp_path / "pkg")
 
 
 class TestCalibrationPackage:
@@ -266,7 +315,8 @@ class TestCalibrationPackage:
         tm.attach_factors_from_calibration(model, mats)
         mio.save_calibration_package(tmp_path / "calib", mats, samples=20, seed=3, model=model)
         mio.write_matrix(tmp_path / "calib" / "layer_01.C.lrmx", mats[1][:, :-1])
-        with pytest.raises(PackageFormatError, match="layer_01: calibration matrix shape"):
+        with pytest.raises(PackageFormatError,
+                           match=r"layer_01: C is \(4, 3\); needs \(4, 4\)"):
             mio.load_calibration_package(tmp_path / "calib")
 
     def test_factors_round_trip_and_teacher_digest(self, tmp_path):

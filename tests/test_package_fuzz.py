@@ -246,17 +246,7 @@ def test_damaged_calibration_package_under_the_cli(desk_chain):
             calib = Path(tmp) / "calib"
             shutil.copytree(package, calib)
             _apply(calib, damage)
-            for out, argv in _commands(teacher, calib, ranks, Path(tmp)).items():
-                out.mkdir()
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in (EXIT_OK, EXIT_IO, EXIT_FORMAT), (damage, argv[0], code)
-                if code != EXIT_OK:
-                    lines = err.getvalue().strip().splitlines()
-                    assert len(lines) == 1, (damage, argv[0], lines)
-                    assert set(json.loads(lines[0])) == {"error", "message"}
-                    assert not any(out.iterdir()), (damage, argv[0])
+            _check_exits(damage, _commands(teacher, calib, ranks, Path(tmp)))
 
     check()
 
