@@ -13,6 +13,18 @@ target budget; the penalty weight rho ramps up geometrically to a cap.
 Weights A, B stay frozen throughout: only the mu vector moves, clamped to
 the box [r_min, N_l]. At the end the mu are rounded to integer ranks and
 greedily repaired to respect the budget exactly.
+
+Precision. One loop dtype per run, read from the layer shapes only: float32
+once the widest layer is ``FLOAT32_MIN_WIDTH`` (256) or wider, float64 below.
+The soft forward and backward run their products, activations and
+elementwise terms in it: the factors A_l (and B_l past the first layer),
+B_0 x and the error signal. The gates and their slopes, the logits once they
+reach the log-softmax, the KL, the per-gate gradient reduction, the penalty,
+mu and the teacher's log p stay float64. At float64 every cast is a no-op, so
+narrow models compute exactly what a pure float64 loop does. On the 2 x
+1024^2 fixture the float32 loop keeps iterations, stop reason and ranks, with
+mu within 1e-9 relative and the batch KL within 1e-6 absolute of float64.
+The dense, hard and evaluation forwards stay float64 at every width.
 """
 
 from __future__ import annotations
@@ -309,25 +321,54 @@ def dense_forward(weights, nonlinearity: str, X) -> np.ndarray:
 
 
 def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarray:
-    """Student forward pass with soft-truncated factored layers.
+    """Student forward pass with soft-truncated factored layers, in the loop
+    dtype of ``layers``; the logits are returned as float64.
 
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
     """
     X = as_matrix(X, "X")
     net = _Net(layers, nonlinearity, cfg)
-    with np.errstate(over="ignore"):
+    with _loop_errstate():
         logits, _, _ = _soft_forward_cached(net, layers[0].B @ X, mu)
     return logits
 
 
+# The loop runs in float32 once the widest layer is this wide. Microseconds
+# per optimize_ranks iteration, float64 -> float32, on 2 n x n layers at
+# batch 32 (best of 3 runs; 2-core x86-64, OpenBLAS 0.3.31):
+#
+#     width n    2 BLAS threads    1 BLAS thread
+#        64        196 -> 184        178 -> 142
+#       128        341 -> 258        331 -> 223
+#       256       1021 -> 704       1050 -> 592
+#       512       2760 -> 1862      3538 -> 2068
+#      1024      10098 -> 5887     14429 -> 8191
+#
+# Below 256 an iteration saves at most about 0.1 ms, and float64 keeps the
+# narrow models' trajectories exactly those of a pure float64 loop.
+FLOAT32_MIN_WIDTH = 256
+
+
+def _loop_errstate():
+    """The loop's error state. Overflow saturates a gate to exactly 0.
+    Anywhere else an overflow or an invalid operation (a value the loop
+    dtype cannot hold) leaves an inf or NaN that reaches the gradient, and
+    _loss_grad refuses it."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 class _Net:
     """What a FermiGrad iteration reads and never changes, set up once per run:
-    each layer's factors and rank, the activation pair, the gate index grid
-    and the gate widths N_l * T (the same float products ``fermi_factors``
-    forms)."""
+    the loop dtype, each layer's factors in it (B_0 as given: the loop reads
+    B_0 @ x only) and rank, the activation pair, the gate index grid and the
+    gate widths N_l * T (the same float products ``fermi_factors`` forms)."""
 
     def __init__(self, layers, nonlinearity: str, cfg: FermiConfig):
-        self.layers = [(f.A, f.B, f.rank) for f in layers]
+        widest = max(max(f.A.shape[0], f.B.shape[1]) for f in layers)
+        self.dtype = np.dtype(np.float32 if widest >= FLOAT32_MIN_WIDTH else np.float64)
+        self.layers = [(f.A.astype(self.dtype, copy=False),
+                        f.B.astype(self.dtype, copy=False) if l else f.B, f.rank)
+                       for l, f in enumerate(layers)]
         self.act, self.act_deriv = ACTIVATIONS[nonlinearity]
         caps = np.array([f.rank for f in layers], dtype=np.float64)
         self.j = np.arange(caps.max(initial=0))
@@ -335,9 +376,9 @@ class _Net:
 
 
 def _soft_forward_cached(net: _Net, u0, mu):
-    """Soft logits, each layer's (input, B @ input, gates as a column) for the
-    backward, and every layer's gates as ``_gates`` returns them (callers
-    ignore overflow).
+    """Soft logits (float64), each layer's (input, B @ input, gates as a column)
+    in the loop dtype for the backward, and every layer's gates as ``_gates``
+    returns them (callers run under ``_loop_errstate``).
 
     ``u0`` is B_0 @ X: the network input enters only through that product,
     so layer 0's input is recorded as None.
@@ -349,15 +390,15 @@ def _soft_forward_cached(net: _Net, u0, mu):
     gates = _gates(net.j, mu, net.widths)
     last = len(net.layers) - 1
     cache = []
-    h, u = None, u0
+    h, u = None, u0.astype(net.dtype, copy=False)
     for l, (A, B, rank) in enumerate(net.layers):
         if l:
             u = B @ h
-        F = gates[l, :rank, None]
+        F = gates[l, :rank, None].astype(net.dtype, copy=False)
         z = A @ (F * u)
         cache.append((h, u, F))
         h = net.act(z) if l < last else z
-    return z, cache, gates
+    return z.astype(np.float64, copy=False), cache, gates
 
 
 def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
@@ -370,14 +411,15 @@ def hard_forward(layers, nonlinearity: str, X, ranks) -> np.ndarray:
 
 
 def _loss_grad(net: _Net, teacher, u0, mu: MuVector, budget: BudgetConstraint, rho: float):
-    """Batch KL and the exact gradient of KL + penalty wrt mu, by reverse accumulation.
-    ``teacher`` is the ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch.
-    Callers ignore overflow, which saturates the gates."""
+    """Batch KL and the exact gradient of KL + penalty wrt mu as evaluated in
+    the loop dtype, by reverse accumulation. ``teacher`` is the
+    ``_teacher_terms`` of the batch and ``u0`` is B_0 @ batch. Callers run
+    under ``_loop_errstate``; a non-finite gradient is refused."""
     logits, cache, gates = _soft_forward_cached(net, u0, mu.mu)
     log_q = _log_softmax(logits, axis=0)
     kl = _kl_mean(_kl_per_sample(teacher, log_q))
     q = np.exp(log_q)
-    delta = (q - teacher[0]) / logits.shape[1]   # dKL/dlogits
+    delta = ((q - teacher[0]) / logits.shape[1]).astype(net.dtype, copy=False)  # dKL/dlogits
     # dF_j/dmu of every layer; row l is read up to layer l's rank only
     slopes = gates * (1.0 - gates) / net.widths
     g = np.zeros(len(net.layers))
@@ -388,7 +430,7 @@ def _loss_grad(net: _Net, teacher, u0, mu: MuVector, budget: BudgetConstraint, r
         # ((F*w)^T B)^T: no operand is transposed, and at 1024^2 x 32 BLAS runs
         # them ~1.5x faster (at 64^2 the two forms cost about the same).
         w = (delta.T @ A).T                      # dKL/d(F*u)
-        g_F = np.add.reduce(w * u, axis=1)       # dKL/dF_j
+        g_F = np.add.reduce(w * u, axis=1, dtype=np.float64)   # dKL/dF_j
         g[l] = g_F @ slopes[l, :rank]
         if l > 0:
             # h_in is the activated output of layer l-1: chain through it.
@@ -402,7 +444,8 @@ def _loss_grad(net: _Net, teacher, u0, mu: MuVector, budget: BudgetConstraint, r
 
 def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstraint,
             rho: float, cfg: FermiConfig) -> np.ndarray:
-    """Exact gradient of KL + budget penalty with respect to mu.
+    """The exact gradient of KL + budget penalty with respect to mu, of the
+    loss as evaluated in the loop dtype.
 
     ``student`` must expose ``factors`` (full-rank factor pairs, frozen) and
     ``nonlinearity``; ``teacher_logits`` and ``batch`` are column-major
@@ -411,7 +454,7 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
     teacher = _teacher_terms(as_matrix(teacher_logits))
     layers = student.factors
     net = _Net(layers, student.nonlinearity, cfg)
-    with np.errstate(over="ignore"):
+    with _loop_errstate():
         return _loss_grad(net, teacher, layers[0].B @ as_matrix(batch), mu, budget, rho)[1]
 
 
@@ -453,26 +496,27 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
 
     n_samples = data.shape[1]
     bs = min(opt_cfg.batch_size, n_samples)
-    # The teacher's log p and B_0 @ x of each sample the loop can reach, formed
-    # once, one consecutive batch at a time, in two arrays: one stacked array
-    # left 8 MB more heap resident after a 1024^2 fixture run (glibc malloc).
-    reach = min(n_samples, opt_cfg.max_iters * bs)
-    log_ps = np.empty((model.dense_weights[-1].shape[0], reach))
-    u0s = np.empty((model.factors[0].rank, reach))
-    for s in range(0, reach, bs):
-        batch = data[:, np.arange(s, min(s + bs, reach))]
-        logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-        log_ps[:, s:s + bs] = _log_softmax(logits, axis=0)
-        u0s[:, s:s + bs] = model.factors[0].B @ batch
     trajectory: list[TrajectoryPoint] = []
-    net = _Net(model.factors, model.nonlinearity, fermi_cfg)
     rho_at = _rho_ramp(sched)
 
     stop_reason = "iteration_cap"
-    # Overflow saturates a gate to exactly 0. Anywhere else in an iteration
-    # it makes the gradient infinite, which _loss_grad refuses, or the step,
-    # which the clip to the box bounds.
-    with np.errstate(over="ignore"):
+    # An overflowing step, past what _loss_grad refuses, is bounded by the clip
+    # to the box.
+    with _loop_errstate():
+        net = _Net(model.factors, model.nonlinearity, fermi_cfg)
+        # The teacher's log p (float64) and B_0 @ x (loop dtype) of each sample
+        # the loop can reach, formed once, one consecutive batch at a time, in two
+        # arrays: one stacked array left 8 MB more heap resident after a 1024^2
+        # fixture run (glibc malloc).
+        reach = min(n_samples, opt_cfg.max_iters * bs)
+        log_ps = np.empty((model.dense_weights[-1].shape[0], reach))
+        u0s = np.empty((model.factors[0].rank, reach), dtype=net.dtype)
+        for s in range(0, reach, bs):
+            batch = data[:, np.arange(s, min(s + bs, reach))]
+            logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
+            log_ps[:, s:s + bs] = _log_softmax(logits, axis=0)
+            u0s[:, s:s + bs] = model.factors[0].B @ batch
+
         for t in range(opt_cfg.max_iters):
             # the batch's columns, wrapping past the last sample, C-ordered as the
             # products above were (log_ps[:, cols] would be Fortran-ordered, and

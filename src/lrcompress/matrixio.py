@@ -65,27 +65,42 @@ def write_matrix(path, M) -> None:
         fh.write(np.ascontiguousarray(M))
 
 
+def _read_header(fh, path):
+    """The payload dtype and (rows, cols) of the open LRMX file ``fh``, after
+    checking its header and that the file holds exactly that payload."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise PackageFormatError(f"{path}: truncated header")
+    magic, version, code, reserved, rows, cols = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise PackageFormatError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise PackageFormatError(f"{path}: unsupported version {version}")
+    if code not in _DTYPES:
+        raise PackageFormatError(f"{path}: unknown dtype code {code}")
+    if reserved != 0:
+        raise PackageFormatError(f"{path}: reserved byte is {reserved}, expected 0")
+    dt = _DTYPES[code]
+    expected = rows * cols * dt.itemsize
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if size != expected:
+        raise PackageFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+    return dt, (rows, cols)
+
+
+def _matrix_shape(path) -> tuple:
+    """The (rows, cols) of an LRMX file, checked as ``read_matrix`` checks it
+    apart from the payload's values, which are not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[1]
+
+
 def read_matrix(path) -> np.ndarray:
     """Read an LRMX file back as a float64 array (f32 payloads are upcast).
     A malformed header or payload, NaN or Inf included, raises PackageFormatError."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise PackageFormatError(f"{path}: truncated header")
-        magic, version, code, reserved, rows, cols = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise PackageFormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise PackageFormatError(f"{path}: unsupported version {version}")
-        if code not in _DTYPES:
-            raise PackageFormatError(f"{path}: unknown dtype code {code}")
-        if reserved != 0:
-            raise PackageFormatError(f"{path}: reserved byte is {reserved}, expected 0")
-        dt = _DTYPES[code]
+        dt, (rows, cols) = _read_header(fh, path)
         expected = rows * cols * dt.itemsize
-        size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size != expected:
-            raise PackageFormatError(f"{path}: payload is {size} bytes, expected {expected}")
         # the payload is read straight into the array it is returned in
         data = np.empty((rows, cols), dtype=dt)
         got = fh.readinto(data)
@@ -374,8 +389,9 @@ def load_calibration_factors(in_dir, model: ToyModel) -> list:
 
     Raises PackageFormatError if the package holds no factors, was made for
     another teacher (its spec, n_inc or dense weights differ: digest
-    mismatch), or holds a factor that is not m x k (A) or k x n (B) with
-    k = min(m, n); a missing factor file is an OSError.
+    mismatch), holds a factor that is not m x k (A) or k x n (B) with
+    k = min(m, n), or a C file whose header, size or shape (n x n) is
+    wrong; C's payload is not read. A missing file is an OSError.
     """
     src = Path(in_dir)
     path = src / "manifest.json"
@@ -400,6 +416,9 @@ def load_calibration_factors(in_dir, model: ToyModel) -> list:
         where = f"{path}: {entry['name']}"
         check_fields(entry, where, factors="object")
         m, n = W.shape
+        C_shape = _matrix_shape(src / entry["file"])
+        if C_shape != (n, n):
+            raise PackageFormatError(f"{where}: C is {C_shape}; needs {(n, n)}")
         shapes = _stored_shapes("lowrank", m, n, min(m, n))
         factors.append(LowRankFactors(**_read_files(src, entry["factors"], where, shapes)))
     return factors

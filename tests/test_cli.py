@@ -265,6 +265,32 @@ class TestFermigrad:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestFloat32Loop:
+    """From FLOAT32_MIN_WIDTH on, the loop runs in float32."""
+
+    def test_values_beyond_float32_are_a_non_finite_gradient(self, tmp_path, capsys):
+        # a gain of 1e39 puts B_0 x and the logits past float32's 3.4e38 but well
+        # inside float64, where the teacher and its calibration stay finite
+        spec = {"layer_shapes": [[256, 256], [256, 256]], "planted_ranks": [64, 128],
+                "seed": 3, "signal_gain": 1e39}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        teacher, calib, out = tmp_path / "teacher", tmp_path / "calib", tmp_path / "out"
+        assert run(["gen-teacher", "--spec", str(tmp_path / "spec.json"),
+                    "--out", str(teacher)]) == EXIT_OK
+        assert run(["calibrate", "--model", str(teacher), "--samples", "512", "--seed", "1",
+                    "--out", str(calib)]) == EXIT_OK
+        out.mkdir()
+        capsys.readouterr()
+        code = run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.75", "--step", "0.03", "--iters", "5",
+                    "--kl-samples", "64", "--seed", "2", "--out-ranks", str(out / "r.json"),
+                    "--report", str(out / "report.json"),
+                    "--trajectory", str(out / "trajectory.csv")])
+        assert code == EXIT_NUMERIC
+        assert _one_error_line(capsys)["error"] == "NonFiniteGradient"
+        assert list(out.iterdir()) == []
+
+
 class TestStiffness:
     """A linear-mode run whose penalty step would diverge is refused before it starts."""
 
@@ -1010,6 +1036,25 @@ class TestFactorStore:
         code = run(_consumer_argvs(teacher, bad, tmp_path)["compress"])
         assert code == EXIT_FORMAT
         assert "1 layers for 2 teacher layers" in _one_error_line(capsys)["message"]
+        assert not (tmp_path / "student").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        # cut to 30 bytes: a whole header, 6 bytes of payload
+        (lambda path: path.write_bytes(path.read_bytes()[:30]),
+         "payload is 6 bytes, expected 2048"),
+        (lambda path: mio.write_matrix(path, np.eye(16)[:, :15]), "C is (16, 15); needs (16, 16)"),
+    ])
+    def test_damaged_calibration_matrix_is_format_error(self, pipeline, tmp_path, capsys,
+                                                        damage, message):
+        _, teacher, calib = pipeline
+        bad = tmp_path / "calib"
+        shutil.copytree(calib, bad)
+        damage(bad / "layer_00.C.lrmx")
+        capsys.readouterr()
+        code = run(_consumer_argvs(teacher, bad, tmp_path)["compress"])
+        assert code == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError" and message in err["message"]
         assert not (tmp_path / "student").exists()
 
     def test_missing_factor_file_is_io_error(self, pipeline, tmp_path, capsys):

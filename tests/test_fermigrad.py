@@ -28,6 +28,7 @@ from lrcompress import (
 from lrcompress import fermigrad as fg
 from lrcompress import toymodels as tm
 from lrcompress.errors import DimensionMismatch
+from lrcompress.svdcompress import LowRankFactors
 
 
 def small_model(seed=0, shapes=((24, 24), (24, 24), (24, 24)), planted=(3, 6, 12)):
@@ -483,6 +484,61 @@ class TestLoopEquivalence:
         assert np.any(traj[-1].mu < spec.caps() - 1.0)
         assert np.array_equal(alloc.ranks, ranks)
         assert alloc.stop_reason == stop
+
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "identity"])
+    def test_float32_loop_matches_float64_reference(self, nonlinearity):
+        # At FLOAT32_MIN_WIDTH the loop runs in float32 and the reference in
+        # float64. Measured over these 110 iterations: mu within 5.3e-12
+        # relative and batch KL within 1.2e-7 absolute (2.1e-3 relative).
+        width = fg.FLOAT32_MIN_WIDTH
+        spec = tm.ToyModelSpec(layer_shapes=[(width, width)] * 2, planted_ranks=[64, 128],
+                               nonlinearity=nonlinearity, seed=31)
+        model = tm.build_teacher(spec)
+        tm.attach_data_aware_factors(model, tm.gen_calibration(spec, 512, seed=32))
+        data = tm.gen_calibration(spec, 1000, seed=33)
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.6 * spec.dense_param_count()), n_scale=1e6)
+        cfg = FermiConfig(T=0.02, r_min=8)
+        sched = RhoSchedule(rho0=1.0, alpha=1.02, rho_max=500.0)
+        opt = OptimizerConfig(step_size=0.05, max_iters=150, batch_size=32)
+        assert fg._Net(model.factors, nonlinearity, cfg).dtype == np.float32
+        traj, alloc = optimize_ranks(model, data, budget, cfg, sched, opt)
+        rows, ranks, stop = reference_optimize(model, data, budget, cfg, sched, opt)
+        assert len(traj) == len(rows)
+        for pt, (mu, kl, n_param) in zip(traj, rows):
+            assert np.max(np.abs(pt.mu - mu) / np.abs(mu)) <= 1e-10
+            assert abs(pt.kl - kl) <= 1e-6
+        assert np.any(traj[-1].mu < spec.caps() - 1.0)
+        assert np.array_equal(alloc.ranks, ranks)
+        assert alloc.stop_reason == stop
+        # the KL column is soft_forward's KL, float32 included (batches of the
+        # first epoch, where the loop's B_0 x has the same operands)
+        for t in (0, 10, 30):
+            batch = data[:, t * 32 + np.arange(32)]
+            teacher = fg.dense_forward(model.dense_weights, nonlinearity, batch)
+            mu_before = spec.caps() if t == 0 else traj[t - 1].mu
+            student = fg.soft_forward(model.factors, nonlinearity, batch, mu_before, cfg)
+            assert traj[t].kl == kl_divergence(teacher.T, student.T)
+
+    def test_loop_dtype_follows_the_widest_layer(self):
+        def net(shapes):
+            layers = [LowRankFactors(np.ones((m, min(m, n))), np.ones((min(m, n), n)))
+                      for m, n in shapes]
+            return fg._Net(layers, "tanh", FermiConfig())
+
+        cutoff = fg.FLOAT32_MIN_WIDTH
+        for shapes in ([(64, 64)] * 4, [(cutoff - 1, 16), (16, cutoff - 1)]):
+            narrow = net(shapes)
+            assert narrow.dtype == np.float64
+            assert all(M.dtype == np.float64 for A, B, _ in narrow.layers for M in (A, B))
+        for shapes in ([(16, cutoff), (16, 16)], [(16, 16), (cutoff, 16)],
+                       [(1024, 1024)] * 2):
+            wide = net(shapes)
+            assert wide.dtype == np.float32
+            (A0, B0, _), *rest = wide.layers
+            # the loop reads B_0 only through B_0 @ x, formed in float64
+            assert A0.dtype == np.float32 and B0.dtype == np.float64
+            assert all(M.dtype == np.float32 for A, B, _ in rest for M in (A, B))
 
     def test_aligned_data_runs_teacher_once_per_reachable_batch(self, monkeypatch):
         spec, model, X = small_model(seed=13)
