@@ -135,7 +135,8 @@ class RhoSchedule:
 
 @dataclass
 class OptimizerConfig:
-    """Projected-gradient loop controls (step size in rank-index units)."""
+    """Controls of the penalty loop, whose steps are clipped to the box
+    (step size in rank-index units)."""
 
     step_size: float = 0.5
     max_iters: int = 500
@@ -325,6 +326,8 @@ def soft_forward(layers, nonlinearity: str, X, mu, cfg: FermiConfig) -> np.ndarr
     dtype of ``layers``; the logits are returned as float64.
 
     Each layer applies A (F * (B h)) without materializing A diag(F) B.
+    A call builds the per-run set-up, float32 copies of every factor included
+    at ``FLOAT32_MIN_WIDTH`` and wider: its time is a call's, not an iteration's.
     """
     X = as_matrix(X, "X")
     net = _Net(layers, nonlinearity, cfg)
@@ -449,7 +452,8 @@ def grad_mu(student, teacher_logits, batch, mu: MuVector, budget: BudgetConstrai
 
     ``student`` must expose ``factors`` (full-rank factor pairs, frozen) and
     ``nonlinearity``; ``teacher_logits`` and ``batch`` are column-major
-    (out_dim x batch, n_0 x batch), matching the forward passes.
+    (out_dim x batch, n_0 x batch), matching the forward passes. As in
+    ``soft_forward``, a call's time includes the per-run set-up.
     """
     teacher = _teacher_terms(as_matrix(teacher_logits))
     layers = student.factors
@@ -484,6 +488,10 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     violation is below constraint_tol; the allocation's ``stop_reason`` says
     which. Trajectory rows hold the state after each update together with
     the batch KL observed at the point the gradient was taken.
+
+    Refuses a budget out of the box's reach (InfeasibleBudget), a linear-mode
+    step with step * rho * sum(a_l^2) / N_scale >= 2, which would overshoot and
+    park mu at r_min (ValueError), and a non-finite gradient (NonFiniteGradient).
     """
     fermi_cfg = fermi_cfg or FermiConfig()
     sched = sched or RhoSchedule()
@@ -498,6 +506,8 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     bs = min(opt_cfg.batch_size, n_samples)
     trajectory: list[TrajectoryPoint] = []
     rho_at = _rho_ramp(sched)
+    # in linear mode the penalty's curvature along mu is rho * sum(a_l^2) / N_scale
+    linear, aa = budget.mode == "linear", float(budget.a @ budget.a)
 
     stop_reason = "iteration_cap"
     # An overflowing step, past what _loss_grad refuses, is bounded by the clip
@@ -528,6 +538,12 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
 
             rho = rho_at(t)
             kl, g = _loss_grad(net, teacher, u0, mu, budget, rho)
+            if linear and opt_cfg.step_size * rho * aa / budget.n_scale >= 2:
+                at_last = opt_cfg.step_size * rho_at(opt_cfg.max_iters - 1) * aa / budget.n_scale
+                raise ValueError(f"step * rho * sum(a_l^2) / n_scale = {at_last:.4g} >= 2 at the "
+                                 f"last iteration, and reaches 2 at iteration {t} before the stop "
+                                 "rule fired: the linear-mode penalty step diverges; lower "
+                                 "--step or raise --n-scale")
             new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
             step_inf = float(np.maximum.reduce(np.abs(new_mu - mu.mu)))
             mu.mu = new_mu

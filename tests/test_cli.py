@@ -292,7 +292,7 @@ class TestFloat32Loop:
 
 
 class TestStiffness:
-    """A linear-mode run whose penalty step would diverge is refused before it starts."""
+    """A linear-mode run is refused at the iteration where its penalty step would diverge."""
 
     SPEC = {"layer_shapes": [[128, 64], [64, 128], [128, 64], [64, 128]],
             "planted_ranks": [4, 8, 16, 48], "seed": 20}

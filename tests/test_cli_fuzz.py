@@ -2,10 +2,10 @@
 run prints exactly one JSON line to stderr and leaves its inputs untouched.
 
 In the first, each example starts from a valid run of one of the five
-subcommands on a 2-layer 16x16 teacher and makes one change to its argv: a
-flag dropped, duplicated or retyped, a value replaced by an edge value, or
-an output aimed at one of the run's inputs. Whatever the outcome, every file
-of the input packages keeps its sha256.
+subcommands on a 2-layer 16x16 teacher and makes one or two changes to its
+argv, each a flag dropped, duplicated or retyped, a value replaced by an edge
+value, or an output aimed at one of the run's inputs. Whatever the outcome,
+every file of the input packages keeps its sha256.
 
 In the second, each example is a ``gen-teacher --spec`` file of that teacher
 with one field, or one entry of a list field, replaced by an edge value. A
@@ -98,11 +98,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@st.composite
-def mutations(draw, runs, aimed, outputs):
-    """One subcommand's argv with exactly one change."""
-    command = draw(st.sampled_from(sorted(runs)))
-    pairs = list(runs[command])
+def _change(draw, pairs, aimed, outputs):
+    """Make one change to ``pairs`` in place."""
     i = draw(st.integers(0, len(pairs) - 1))
     flag, value = pairs[i]
     kinds = ["drop", "duplicate", "retype"]
@@ -121,7 +118,16 @@ def mutations(draw, runs, aimed, outputs):
         edges = [v for v in EDGE_VALUES if not (flag == "--iters" and v == str(2**63))]
         pairs[i] = (flag, draw(st.sampled_from(edges)))
     else:
-        pairs[i] = (flag, draw(st.sampled_from(aimed[command])))
+        pairs[i] = (flag, draw(st.sampled_from(aimed)))
+
+
+@st.composite
+def mutations(draw, runs, aimed, outputs):
+    """One subcommand's argv with one or two changes."""
+    command = draw(st.sampled_from(sorted(runs)))
+    pairs = list(runs[command])
+    for _ in range(draw(st.integers(1, 2))):
+        _change(draw, pairs, aimed[command], outputs)
     argv = [command]
     for flag, value in pairs:
         argv += [flag] if value is None else [flag, value]

@@ -474,6 +474,10 @@ class TestLoopEquivalence:
         cfg = FermiConfig(T=0.02, r_min=2)
         sched = RhoSchedule(rho0=1.0, alpha=1.05, rho_max=500.0)
         opt = OptimizerConfig(step_size=2.0, max_iters=300, batch_size=16)
+        if mode == "linear":
+            # stiff at the cap (43.8), but the run converges before the ramp
+            # brings step * rho * sum(a_l^2) / n_scale to 2, so it is not refused
+            assert opt.step_size * sched.rho_max * (budget.a @ budget.a) / budget.n_scale > 2
         traj, alloc = optimize_ranks(model, data, budget, cfg, sched, opt)
         rows, ranks, stop = reference_optimize(model, data, budget, cfg, sched, opt)
         assert len(traj) == len(rows)
@@ -589,10 +593,11 @@ class TestLoopEquivalence:
         assert sum(teacher_runs) == min(n_samples, iters * 16)
 
     def test_memory_held_does_not_grow_with_unaligned_sample_counts(self):
-        # at 16k - 1 samples every iteration starts a batch at a new sample
+        # at 16k - 1 samples every iteration starts a batch at a new sample; at
+        # n_scale 1e7 the linear penalty step stays below the stiffness bound
         spec, model, _ = small_model(seed=13, shapes=((64, 64), (64, 64)), planted=(8, 16))
         budget = BudgetConstraint.from_shapes(
-            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e6)
+            spec.layer_shapes, n_target=int(0.5 * spec.dense_param_count()), n_scale=1e7)
         opt = OptimizerConfig(step_size=0.5, max_iters=300, mu_tol=1e-300, batch_size=16)
         peaks = []
         for n_samples in (16 * 16, 16 * 16 - 1):
@@ -655,6 +660,39 @@ class TestPerRunSetUp:
         opt = OptimizerConfig(max_iters=5, batch_size=16)
         with pytest.raises(NonFiniteGradient):
             optimize_ranks(model, X, budget, FermiConfig(r_min=2), RhoSchedule(), opt)
+
+
+class TestStiffnessBound:
+    """In linear mode optimize_ranks refuses the first step at which the
+    penalty's curvature step * rho * sum(a_l^2) / n_scale reaches 2."""
+
+    @pytest.fixture(scope="class")
+    def rectangular(self):
+        # the CLI's stiffness teacher, calibrated and trained on 512 samples of seed 11
+        spec = tm.ToyModelSpec(layer_shapes=[(128, 64), (64, 128), (128, 64), (64, 128)],
+                               planted_ranks=[4, 8, 16, 48], seed=20)
+        model = tm.build_teacher(spec)
+        X = tm.gen_calibration(spec, 512, seed=11)
+        tm.attach_data_aware_factors(model, X)
+        return spec, model, X
+
+    @staticmethod
+    def optimize(rectangular, mode):
+        spec, model, X = rectangular
+        budget = BudgetConstraint.from_shapes(
+            spec.layer_shapes, n_target=int(0.6 * spec.dense_param_count()), mode=mode)
+        opt = OptimizerConfig(step_size=10.0, max_iters=1500)
+        return optimize_ranks(model, X, budget, FermiConfig(), RhoSchedule(), opt)
+
+    def test_linear_run_refused_where_the_bound_binds(self, rectangular):
+        # 10 * rho * 4 * 192^2 / 1e9 = 2 at rho = 1356.3, which the 1.02 ramp
+        # passes at iteration 365; at the cap (2000) it is 2.949
+        with pytest.raises(ValueError, match=r"= 2\.949 >= 2 .* at iteration 365 "):
+            self.optimize(rectangular, "linear")
+
+    def test_parabolic_run_is_unchecked(self, rectangular):
+        _, alloc = self.optimize(rectangular, "parabolic")
+        assert alloc.ranks.tolist() == [30, 30, 30, 31]
 
 
 class TestRoundAndRepair:
