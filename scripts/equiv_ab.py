@@ -1,27 +1,32 @@
-"""Check that two checkouts write the same files from the same CLI chains.
+"""Check that two checkouts write the same files from the same CLI chains and factors.
 
     python3 scripts/equiv_ab.py --parent DIR --change DIR --out FILE
 
 For each tree, one subprocess with the tree's src/ on PYTHONPATH and one
-BLAS thread runs the CLI in-process (``lrcompress.cli.main``):
+BLAS thread runs in-process (the CLI through ``lrcompress.cli.main``):
 
 - the desk chain: for each of the benchmark's desk teachers 0-3,
   gen-teacher and calibrate, then for each of ``--mode linear`` and
   ``--mode parabolic`` fermigrad, compress --pivga and compare (uniform and
   brute force), with fermigrad and compare in that mode;
 - the fixture chain: the 2x1024^2 fixture of acceptance test 07 through
-  the same five commands.
+  the same five commands;
+- the pivga-serve write side: for each of the benchmark's pivga-serve
+  seeds 0 and 1, ``pivga_factorize`` and ``save_model_package`` of its
+  2048^2, r=512 factors.
 
 Every command's flags are the benchmark's own (``desk_configs`` and
-``fixture_configs`` in perfbench/workloads.py of this checkout). Both
-trees write into same-named directories (every path is relative to the
-tree's own work directory), so reports name the same paths. FILE gets
-each command's exit code, each file's byte identity, the largest relative
-difference of every trajectory CSV column and of every numeric report
-field (``wall_time_s`` and ``timings_s`` excluded), and a summary. A file
-matches if its bytes are identical or, for JSON, if it is identical apart
-from the excluded fields. The script exits 1 unless all files match with
-no difference and every command succeeds.
+``fixture_configs`` in perfbench/workloads.py of this checkout), and so are
+the pivga-serve factors (``PivgaServeWorkload``), which both trees read
+from the same .npy files. Both trees write into same-named directories
+(every path is relative to the tree's own work directory), so reports name
+the same paths. FILE gets each command's exit code, each file's byte
+identity, the largest relative difference of every trajectory CSV column
+and of every numeric report field (``wall_time_s`` and ``timings_s``
+excluded), and a summary. A file matches if its bytes are identical or,
+for JSON, if it is identical apart from the excluded fields. The script
+exits 1 unless all files match with no difference and every command
+succeeds.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench import workloads as wl  # noqa: E402
@@ -47,17 +54,34 @@ MODES = ("linear", "parabolic")
 # the seed of compare's evaluation set (the benchmark draws it per run)
 COMPARE_SEED = 1
 FIXTURE_DIR = "fixture"
+SERVE_SEEDS = (0, 1)
+SERVE_DIR = "pivga-serve"
+# the pivga-serve factors both trees read, beside their work directories
+FACTORS_DIR = "factors"
 
-# Runs each argv of the JSON list on stdin through lrcompress.cli.main and
-# prints one JSON line with each exit code.
+# Runs each argv of the JSON object's "argvs" through lrcompress.cli.main,
+# then writes the PivGa package of each (A.npy, B.npy, out) of its "serve"
+# list, and prints one JSON line with each exit code.
 DRIVER = """
 import contextlib, io, json, sys
+import numpy as np
+from lrcompress import LowRankFactors, matrixio, pivga_factorize
 from lrcompress.cli import main
+jobs = json.load(sys.stdin)
 codes = []
-for argv in json.load(sys.stdin):
+for argv in jobs["argvs"]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         codes.append({"argv": argv, "exit": main(argv), "stderr": err.getvalue().strip()})
+for a, b, out in jobs["serve"]:
+    try:
+        pf = pivga_factorize(LowRankFactors(A=np.load(a), B=np.load(b)))
+        matrixio.save_model_package(out, None, [pf])
+        code, err = 0, ""
+    except Exception as exc:
+        code, err = 1, repr(exc)
+    codes.append({"argv": ["pivga_factorize+save_model_package", a, b, out],
+                  "exit": code, "stderr": err})
 print(json.dumps(codes))
 """
 
@@ -109,14 +133,34 @@ def chain_argvs(teachers, modes, fixture: bool):
     return dirs, argvs
 
 
-def run_tree(tree: Path, work: Path, dirs: list[str], argvs: list[list[str]]) -> list[dict]:
-    """Run the chains from ``tree`` in ``work``; returns each command's exit code."""
+def write_serve_factors(work: Path, seeds) -> list[list[str]]:
+    """Save the factors of each pivga-serve seed under ``work``; returns the
+    (A, B, package) paths of each, relative to a tree's work directory."""
+    jobs = []
+    for seed in seeds:
+        # one request: only the factors are used, and the inputs drawn after them stay small
+        f = wl.PivgaServeWorkload(seed, work, requests=1).factors
+        src = work / FACTORS_DIR / f"seed{seed}"
+        src.mkdir(parents=True)
+        np.save(src / "A.npy", f.A)
+        np.save(src / "B.npy", f.B)
+        rel = f"../{FACTORS_DIR}/seed{seed}"
+        jobs.append([f"{rel}/A.npy", f"{rel}/B.npy", f"{SERVE_DIR}/seed{seed}/student"])
+    return jobs
+
+
+def run_tree(tree: Path, work: Path, dirs: list[str], argvs: list[list[str]],
+             serve: list[list[str]]) -> list[dict]:
+    """Run the chains and write the ``serve`` packages from ``tree`` in ``work``;
+    returns each command's exit code."""
+    work.mkdir()
     for d in dirs:
         (work / d).mkdir(parents=True)
     if FIXTURE_DIR in dirs:
         (work / FIXTURE_DIR / "spec.json").write_text(json.dumps(wl.FIXTURE_SPEC))
     env = {**os.environ, **{v: "1" for v in THREAD_VARS}, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-c", DRIVER], input=json.dumps(argvs), env=env,
+    jobs = json.dumps({"argvs": argvs, "serve": serve})
+    proc = subprocess.run([sys.executable, "-c", DRIVER], input=jobs, env=env,
                           cwd=work, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -210,19 +254,23 @@ def summarize(commands: dict, files: dict, diffs: dict) -> dict:
     }
 
 
-def check(parent: Path, change: Path, out: Path, teachers, modes, fixture: bool) -> dict:
-    """Run the chains of the given desk teachers and modes, and the fixture
-    chain if ``fixture``, from both trees; write the comparison to ``out``
-    and return it."""
+def check(parent: Path, change: Path, out: Path, teachers, modes, fixture: bool,
+          serve_seeds=()) -> dict:
+    """Run the chains of the given desk teachers and modes, the fixture chain
+    if ``fixture``, and the pivga-serve write side of each of ``serve_seeds``
+    from both trees; write the comparison to ``out`` and return it."""
     dirs, argvs = chain_argvs(teachers, modes, fixture)
     trees = {"parent": parent.resolve(), "change": change.resolve()}
     with tempfile.TemporaryDirectory(prefix="equiv_ab-") as tmp:
         work = Path(tmp)
-        commands = {side: run_tree(trees[side], work / side, dirs, argvs) for side in SIDES}
+        serve = write_serve_factors(work, serve_seeds)
+        commands = {side: run_tree(trees[side], work / side, dirs, argvs, serve)
+                    for side in SIDES}
         files, diffs = compare_trees(work / "parent", work / "change")
     doc = {
         "trees": {side: str(tree) for side, tree in trees.items()},
-        "scope": {"teachers": list(teachers), "modes": list(modes), "fixture": fixture},
+        "scope": {"teachers": list(teachers), "modes": list(modes), "fixture": fixture,
+                  "pivga_serve_seeds": list(serve_seeds)},
         "excluded_fields": list(EXCLUDED),
         "commands": commands,
         "files": files,
@@ -239,7 +287,7 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, type=Path, help="checkout of the change")
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
-    s = check(args.parent, args.change, args.out, TEACHERS, MODES, True)["summary"]
+    s = check(args.parent, args.change, args.out, TEACHERS, MODES, True, SERVE_SEEDS)["summary"]
     print(f"{s['matching']}/{s['files']} files match ({s['identical_bytes']} byte-identical); "
           f"largest relative difference {s['largest_rel_diff']:.3g}; "
           f"{len(s['failed_commands'])} failed commands; equivalent: {s['equivalent']}")

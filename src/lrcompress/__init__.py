@@ -56,7 +56,6 @@ from .pivga import (
     ParamCount,
     PivGaFactors,
     breakeven_rank,
-    gauge_fix_unpivoted,
     param_count,
     pivga_factorize,
     pivga_forward,

@@ -543,7 +543,8 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
                 raise ValueError(f"step * rho * sum(a_l^2) / n_scale = {at_last:.4g} >= 2 at the "
                                  f"last iteration, and reaches 2 at iteration {t} before the stop "
                                  "rule fired: the linear-mode penalty step diverges; lower "
-                                 "--step or raise --n-scale")
+                                 "OptimizerConfig.step_size (--step) or raise "
+                                 "BudgetConstraint.n_scale (--n-scale)")
             new_mu = np.clip(mu.mu - opt_cfg.step_size * g, mu.r_min, mu.caps)
             step_inf = float(np.maximum.reduce(np.abs(new_mu - mu.mu)))
             mu.mu = new_mu

@@ -4,9 +4,9 @@ SVD, symmetric eigendecomposition and Cholesky delegate to LAPACK (via
 numpy) with post-processing that pins down gauge signs and jitter behaviour.
 Skeleton-column selection reads its pivot order from one LAPACK ``getrf``
 (partial pivoting: at each step the first maximum of the computed
-magnitudes, as LAPACK ``idamax`` picks it) and applies our own
-rank-deficiency threshold to the diagonal of U; PivGa reuses
-the same packed L and U for its D block instead of factorizing again.
+magnitudes, as ``idamax`` picks it; ``laswp`` replays its row swaps) and
+applies our own rank-deficiency threshold to the diagonal of U; PivGa
+reuses the same packed L and U for its D block instead of factorizing again.
 
 All computation is in 64-bit floats. Inputs are validated to be finite;
 every function is a pure function of its arguments.
@@ -157,11 +157,9 @@ def _pivoted_lu(M, r: int) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficient(
             f"pivot {k} magnitude {pivots[k]:.3e} below threshold {tol:.3e}"
         )
-    # ipiv[k] is the row swapped with row k at step k; replay the swaps.
-    order = np.arange(rows)
-    for k, p in enumerate(ipiv):
-        order[k], order[p] = order[p], order[k]
-    return order, lu
+    # ipiv[k] is the row swapped with row k at step k; dlaswp replays the swaps.
+    order = scipy.linalg.lapack.dlaswp(np.arange(rows, dtype=np.float64)[:, None], ipiv)
+    return order[:, 0].astype(np.int64), lu
 
 
 def lu_row_pivots(M, r: int) -> np.ndarray:

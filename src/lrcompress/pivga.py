@@ -68,7 +68,7 @@ def _skeleton(B) -> tuple[np.ndarray, np.ndarray]:
     r = B.shape[0]
     order, lu = _pivoted_lu(B.T, r)
     rows = np.concatenate([np.arange(r), r + np.argsort(order[r:])])
-    return order[rows].astype(np.int64), lu[rows]
+    return order[rows], lu[rows]
 
 
 def select_skeleton_columns(B) -> np.ndarray:
@@ -80,48 +80,27 @@ def select_skeleton_columns(B) -> np.ndarray:
     return _skeleton(B)[0]
 
 
-def _gauge_fix(f: LowRankFactors, perm: np.ndarray, lu: np.ndarray | None) -> PivGaFactors:
-    """Gauge-fix against the block ``perm`` puts first; D from ``lu`` (B^T's, in ``perm`` order)."""
+def pivga_factorize(f: LowRankFactors) -> PivGaFactors:
+    """Gauge-fix against the skeleton block B0 of B; D from the selection's own LU.
+
+    Raises IllConditioned if B0's 2-norm condition number exceeds ``COND_LIMIT``.
+    """
     import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
 
+    perm, lu = _skeleton(f.B)
     r = f.rank
-    Bp = f.B[:, perm]
-    B0, B1 = Bp[:, :r], Bp[:, r:]
+    B0 = f.B[:, perm[:r]]
     cond = float(np.linalg.cond(B0))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(
             f"leading block condition {cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "keep the plain factors for this layer"
         )
-    if lu is None:
-        D = scipy.linalg.solve(B0, B1)
-    else:
-        D = scipy.linalg.solve_triangular(lu[:r], lu[r:].T, trans="T", lower=True,
-                                          unit_diagonal=True)
+    D = scipy.linalg.solve_triangular(lu[:r], lu[r:].T, trans="T", lower=True,
+                                      unit_diagonal=True)
     # D is kept in C order, as load_model_package returns it: D @ x2 is faster.
-    return PivGaFactors(
-        Cmat=f.A @ B0,
-        D=np.ascontiguousarray(D),
-        perm=perm,
-        rank=r,
-        n_cols=f.B.shape[1],
-        cond_b0=cond,
-    )
-
-
-def pivga_factorize(f: LowRankFactors) -> PivGaFactors:
-    """Gauge-fix against a pivoted skeleton block of B (the safe default)."""
-    return _gauge_fix(f, *_skeleton(f.B))
-
-
-def gauge_fix_unpivoted(f: LowRankFactors) -> PivGaFactors:
-    """Gauge-fix against the leading r x r block of B, no pivoting.
-
-    Frequently fails with IllConditioned on real factors; exists as the
-    baseline the pivoted variant improves on. The measured condition
-    number is reported in ``cond_b0`` either way.
-    """
-    return _gauge_fix(f, np.arange(f.B.shape[1], dtype=np.int64), None)
+    return PivGaFactors(Cmat=f.A @ B0, D=np.ascontiguousarray(D), perm=perm, rank=r,
+                        n_cols=f.B.shape[1], cond_b0=cond)
 
 
 def pivga_forward(x, f: PivGaFactors) -> np.ndarray:

@@ -8,8 +8,8 @@ value, or an output aimed at one of the run's inputs. Whatever the outcome,
 every file of the input packages keeps its sha256.
 
 In the second, each example is a ``gen-teacher --spec`` file of that teacher
-with one field, or one entry of a list field, replaced by an edge value. A
-run warns of nothing, and a teacher it writes has finite, nonzero weights.
+with one or two fields, or entries of list fields, replaced by edge values.
+A run warns of nothing, and a teacher it writes has finite, nonzero weights.
 """
 
 import copy
@@ -184,19 +184,25 @@ def _spec_fields():
 
 @st.composite
 def spec_mutations(draw):
-    """A spec with one field, or one entry of a list field, replaced."""
+    """A spec with one or two fields, or entries of list fields, replaced.
+
+    The second target is never the first or nested under it: a replaced
+    ``layer_shapes`` has no entries left to edit.
+    """
     spec = _spec_fields()
     targets = [(key,) for key in sorted(spec)]
     targets += [("layer_shapes", l, i) for l in range(2) for i in range(2)]
     targets += [(key, l) for key in ("planted_ranks", "spectrum_decay") for l in range(2)]
-    target = draw(st.sampled_from(targets))
-    edges = SPEC_EDGES + HUGE_SIZES if target[0] == "layer_shapes" and len(target) == 3 \
-        else SPEC_EDGES
-    *path, last = target
-    holder = spec
-    for key in path:
-        holder = holder[key]
-    holder[last] = draw(st.sampled_from(edges))
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.sampled_from(targets))
+        targets = [t for t in targets if t[:len(target)] != target]
+        edges = SPEC_EDGES + HUGE_SIZES if target[0] == "layer_shapes" and len(target) == 3 \
+            else SPEC_EDGES
+        *path, last = target
+        holder = spec
+        for key in path:
+            holder = holder[key]
+        holder[last] = draw(st.sampled_from(edges))
     return spec
 
 

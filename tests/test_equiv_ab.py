@@ -84,3 +84,18 @@ def test_one_desk_teacher_against_itself(equiv_ab, tmp_path):
         assert doc["files"][f"{d}/{name}"]["identical_bytes"], name
     assert doc["max_rel_diff"][f"{d}/fermigrad.json"]["kl_eval"] == 0.0
     assert doc["max_rel_diff"][f"{d}/trajectory.csv"]["mu_0"] == 0.0
+
+
+def test_pivga_serve_seed_against_itself(equiv_ab, tmp_path):
+    out = tmp_path / "equiv.json"
+    doc = equiv_ab.check(ROOT, ROOT, out, [], [], False, [0])
+    assert doc["scope"]["pivga_serve_seeds"] == [0]
+    summary = doc["summary"]
+    assert summary["equivalent"], summary
+    command, = doc["commands"]["change"]
+    assert command["exit"] == 0, command
+    d = "pivga-serve/seed0/student"
+    assert {name for name in doc["files"] if name.startswith(d)} == {
+        f"{d}/{name}" for name in ("manifest.json", "layer_00.C.lrmx", "layer_00.D.lrmx",
+                                   "layer_00.perm.idx")}
+    assert all(f["identical_bytes"] for f in doc["files"].values())

@@ -687,8 +687,10 @@ class TestStiffnessBound:
     def test_linear_run_refused_where_the_bound_binds(self, rectangular):
         # 10 * rho * 4 * 192^2 / 1e9 = 2 at rho = 1356.3, which the 1.02 ramp
         # passes at iteration 365; at the cap (2000) it is 2.949
-        with pytest.raises(ValueError, match=r"= 2\.949 >= 2 .* at iteration 365 "):
+        with pytest.raises(ValueError, match=r"= 2\.949 >= 2 .* at iteration 365 ") as exc:
             self.optimize(rectangular, "linear")
+        message = str(exc.value)
+        assert "OptimizerConfig.step_size" in message and "BudgetConstraint.n_scale" in message
 
     def test_parabolic_run_is_unchecked(self, rectangular):
         _, alloc = self.optimize(rectangular, "parabolic")

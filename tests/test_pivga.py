@@ -9,7 +9,6 @@ from lrcompress import (
     LowRankFactors,
     RankDeficient,
     breakeven_rank,
-    gauge_fix_unpivoted,
     param_count,
     pivga_factorize,
     pivga_forward,
@@ -175,42 +174,15 @@ class TestPivgaFactorize:
             assert factors.D.flags.c_contiguous
         assert np.array_equal(loaded.D, pf.D)
 
-class TestGaugeFixUnpivoted:
-    def test_identity_leading_block(self):
-        rng = np.random.default_rng(6)
-        r, n, m = 4, 10, 6
-        B1 = rng.standard_normal((r, n - r))
-        B = np.hstack([np.eye(r), B1])
-        A = rng.standard_normal((m, r))
-        pf = gauge_fix_unpivoted(LowRankFactors(A=A, B=B))
-        assert np.allclose(pf.Cmat, A)
-        assert np.allclose(pf.D, B1)
-        assert pf.perm.tolist() == list(range(n))
-
-    def test_matches_pivoted_reconstruction(self):
-        f = seeded_factors(7, 10, 12, 3)
-        ab = f.reconstruct()
-        rec_piv = pivga_factorize(f).reconstruct()
-        rec_unp = gauge_fix_unpivoted(f).reconstruct()
-        assert np.linalg.norm(rec_piv - ab) <= 1e-8 * np.linalg.norm(ab)
-        assert np.linalg.norm(rec_unp - ab) <= 1e-8 * np.linalg.norm(ab)
-
-    def test_ill_conditioned_leading_block(self):
-        rng = np.random.default_rng(8)
-        r, n = 4, 9
-        U, _ = np.linalg.qr(rng.standard_normal((r, r)))
-        V, _ = np.linalg.qr(rng.standard_normal((r, r)))
-        B0 = U @ np.diag([1.0, 0.5, 0.1, 1e-14]) @ V.T
-        B = np.hstack([B0, rng.standard_normal((r, n - r))])
-        f = LowRankFactors(A=rng.standard_normal((6, r)), B=B)
-        with pytest.raises(IllConditioned):
-            gauge_fix_unpivoted(f)
-
-    def test_reports_condition_number(self):
-        f = seeded_factors(9, 8, 11, 3)
-        pf = gauge_fix_unpivoted(f)
-        B0 = f.B[:, :3]
-        assert pf.cond_b0 == pytest.approx(np.linalg.cond(B0))
+    def test_ill_conditioned_skeleton_block_refused(self):
+        # B^T = I - (strictly lower ones): every getrf pivot is 1, so the
+        # selection succeeds, but the block's condition grows like 2^r
+        # (9.0e12 at r = 40, 1.16e16 at r = 50)
+        r = 50
+        B = (np.eye(r) - np.tril(np.ones((r, r)), -1)).T
+        assert select_skeleton_columns(B).tolist() == list(range(r))
+        with pytest.raises(IllConditioned, match="^leading block condition .* exceeds 1e"):
+            pivga_factorize(LowRankFactors(A=np.ones((3, r)), B=B))
 
 
 class TestPivgaForward:
