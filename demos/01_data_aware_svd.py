@@ -16,8 +16,6 @@ Frobenius error and in on-data output error.
 import numpy as np
 
 from lrcompress import (
-    CalibState,
-    accumulate_calibration,
     cholesky_whiten,
     data_aware_svd,
     plain_svd_compress,
@@ -34,11 +32,8 @@ Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
 scales = np.logspace(0, -2, n)
 X = (Q * scales) @ rng.standard_normal((n, 4096))
 
-# accumulate the calibration matrix C = sum of X_b X_b^T in batches
-state = CalibState.empty(n)
-for start in range(0, X.shape[1], 512):
-    state = accumulate_calibration(state, X[:, start:start + 512])
-S = cholesky_whiten(state.C)
+# whiten by the calibration matrix C = X X^T, as `lrcompress calibrate` forms it per layer
+S = cholesky_whiten(X @ X.T)
 
 plain = plain_svd_compress(W, rank)
 aware = data_aware_svd(W, S, rank)

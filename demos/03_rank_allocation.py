@@ -24,7 +24,7 @@ from lrcompress import (
     RhoSchedule,
     build_teacher,
     default_spec,
-    evaluate_allocation,
+    evaluate_allocations,
     gen_calibration,
     optimize_ranks,
     uniform_ranks,
@@ -56,8 +56,7 @@ for t in (0, len(trajectory) // 4, len(trajectory) // 2, len(trajectory) - 1):
 
 uniform = uniform_ranks(spec.layer_shapes, budget, r_min=cfg.r_min)
 eval_data = gen_calibration(spec, 512, seed=999)
-rep_opt = evaluate_allocation(model, eval_data, alloc.ranks)
-rep_uni = evaluate_allocation(model, eval_data, uniform.ranks)
+rep_opt, rep_uni = evaluate_allocations(model, eval_data, [alloc.ranks, uniform.ranks])
 
 print(f"\n{'':>12}  {'ranks':>20}  {'params':>8}  {'KL vs teacher':>14}")
 print(f"{'optimized':>12}  {str([int(r) for r in alloc.ranks]):>20}  "

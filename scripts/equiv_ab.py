@@ -23,10 +23,10 @@ from the same .npy files. Both trees write into same-named directories
 the same paths. FILE gets each command's exit code, each file's byte
 identity, the largest relative difference of every trajectory CSV column
 and of every numeric report field (``wall_time_s`` and ``timings_s``
-excluded), and a summary. A file matches if its bytes are identical or,
-for JSON, if it is identical apart from the excluded fields. The script
-exits 1 unless all files match with no difference and every command
-succeeds.
+excluded), the leaf paths of a JSON file that only one side has, and a
+summary. A file matches if its bytes are identical or, for JSON, if it is
+identical apart from the excluded fields. The script exits 1 unless all
+files match with no difference and every command succeeds.
 """
 
 from __future__ import annotations
@@ -192,16 +192,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def compare_json(a: Path, b: Path) -> tuple[bool, dict]:
-    """Whether two JSON files agree apart from the excluded fields, and the
-    largest relative difference of each numeric field."""
+def compare_json(a: Path, b: Path) -> tuple[bool, dict, dict]:
+    """Whether two JSON files agree apart from the excluded fields, the
+    largest relative difference of each numeric field, and the leaf paths
+    only one side has (``only_in_parent`` and ``only_in_change``, each left
+    out when empty)."""
     la = dict(leaves(json.loads(a.read_text())))
     lb = dict(leaves(json.loads(b.read_text())))
     diffs = {k: rel_diff(float(la[k]), float(lb[k])) for k in la.keys() & lb.keys()
              if _is_number(la[k]) and _is_number(lb[k])}
     same = la.keys() == lb.keys() and all(
         diffs[k] == 0.0 if k in diffs else la[k] == lb[k] for k in la)
-    return same, dict(sorted(diffs.items()))
+    only = {f"only_in_{side}": sorted(keys) for side, keys in
+            (("parent", la.keys() - lb.keys()), ("change", lb.keys() - la.keys())) if keys}
+    return same, dict(sorted(diffs.items())), only
 
 
 def compare_csv(a: Path, b: Path) -> dict:
@@ -217,8 +221,9 @@ def compare_csv(a: Path, b: Path) -> dict:
 
 
 def compare_trees(pa: Path, pb: Path) -> tuple[dict, dict]:
-    """Per file under either directory: byte identity and whether it matches;
-    per CSV and JSON file: the largest relative difference of each column or field."""
+    """Per file under either directory: byte identity and whether it matches,
+    and for JSON the leaf paths only one side has; per CSV and JSON file: the
+    largest relative difference of each column or field."""
     names = sorted({str(p.relative_to(root)) for root in (pa, pb)
                     for p in root.rglob("*") if p.is_file()})
     files, diffs = {}, {}
@@ -229,13 +234,13 @@ def compare_trees(pa: Path, pb: Path) -> tuple[dict, dict]:
                            "missing_in": "parent" if not a.is_file() else "change"}
             continue
         identical = a.read_bytes() == b.read_bytes()
-        match = identical
+        match, only = identical, {}
         if name.endswith(".json"):
-            same, diffs[name] = compare_json(a, b)
+            same, diffs[name], only = compare_json(a, b)
             match = identical or same
         elif name.endswith(".csv"):
             diffs[name] = compare_csv(a, b)
-        files[name] = {"identical_bytes": identical, "match": match}
+        files[name] = {"identical_bytes": identical, "match": match, **only}
     return files, diffs
 
 

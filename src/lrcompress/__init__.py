@@ -62,9 +62,7 @@ from .pivga import (
     select_skeleton_columns,
 )
 from .svdcompress import (
-    CalibState,
     LowRankFactors,
-    accumulate_calibration,
     data_aware_svd,
     plain_svd_compress,
     truncation_error,
@@ -76,7 +74,6 @@ from .toymodels import (
     brute_force_rank_search,
     build_teacher,
     default_spec,
-    evaluate_allocation,
     evaluate_allocations,
     gen_calibration,
 )

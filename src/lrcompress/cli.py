@@ -252,7 +252,9 @@ def cmd_fermigrad(args) -> int:
     timings.lap("write")
 
     eval_data = _draw(model.spec, args.kl_samples, args.seed + 1, "--kl-samples")
-    evaluation = tm.evaluate_allocation(model, eval_data, alloc.ranks)
+    uniform = fg.uniform_ranks(model.spec.layer_shapes, budget, r_min=cfg.r_min)
+    evaluation, uniform_eval = tm.evaluate_allocations(model, eval_data,
+                                                       [alloc.ranks, uniform.ranks])
     timings.lap("evaluate")
     report = {
         "command": "fermigrad",
@@ -277,6 +279,8 @@ def cmd_fermigrad(args) -> int:
         "target_params": int(alloc.target_params),
         "budget_gap_params": int(alloc.target_params - alloc.achieved_params),
         "kl_eval": evaluation.kl,
+        "kl_uniform_eval": uniform_eval.kl,
+        "equals_uniform": np.array_equal(alloc.ranks, uniform.ranks),
         "per_layer_residual": [float(x) for x in evaluation.per_layer_residual],
         "timings_s": timings.stages,
         "wall_time_s": timings.wall_time_s(),
@@ -285,7 +289,8 @@ def cmd_fermigrad(args) -> int:
         mio.write_report(args.report, report)
     print(json.dumps({key: report[key] for key in (
         "final_ranks", "achieved_params", "target_params", "budget_gap_params", "kl_eval",
-        "stop_reason", "final_violation")}, sort_keys=True))
+        "kl_uniform_eval", "equals_uniform", "stop_reason", "final_violation")},
+        sort_keys=True))
     return EXIT_OK
 
 

@@ -23,18 +23,6 @@ from .linalg import as_matrix, left_singular_vectors, svd_descending
 
 
 @dataclass
-class CalibState:
-    """Running input-space second-moment accumulator C = sum_b X_b X_b^T."""
-
-    C: np.ndarray
-    sample_count: int = 0
-
-    @classmethod
-    def empty(cls, dim: int) -> "CalibState":
-        return cls(C=np.zeros((dim, dim)), sample_count=0)
-
-
-@dataclass
 class LowRankFactors:
     """Factor pair (A: m x r, B: r x n) representing W ~ A @ B."""
 
@@ -69,15 +57,6 @@ class LowRankFactors:
         if not 1 <= r <= self.rank:
             raise DimensionMismatch(f"need 1 <= r <= {self.rank}, got {r}")
         return LowRankFactors(A=self.A[:, :r], B=self.B[:r, :])
-
-
-def accumulate_calibration(state: CalibState, X_b) -> CalibState:
-    """Fold one calibration batch (columns are samples) into the state."""
-    X_b = as_matrix(X_b, "X_b")
-    n = state.C.shape[0]
-    if X_b.shape[0] != n:
-        raise DimensionMismatch(f"batch has {X_b.shape[0]} rows, expected {n}")
-    return CalibState(C=state.C + X_b @ X_b.T, sample_count=state.sample_count + X_b.shape[1])
 
 
 def plain_svd_compress(W, r: int) -> LowRankFactors:

@@ -367,11 +367,6 @@ def evaluate_allocations(model: ToyModel, data, allocations) -> list[AllocationR
     return reports
 
 
-def evaluate_allocation(model: ToyModel, data, ranks) -> AllocationReport:
-    """``evaluate_allocations`` of the one rank tuple ``ranks``."""
-    return evaluate_allocations(model, data, [ranks])[0]
-
-
 def layer_residuals(model: ToyModel, ranks) -> np.ndarray:
     """Relative residual ||W - A_r B_r||_F / ||W||_F of each layer at its rank."""
 

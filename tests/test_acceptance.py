@@ -16,7 +16,7 @@ from lrcompress import (
     cholesky_whiten,
     data_aware_svd,
     default_spec,
-    evaluate_allocation,
+    evaluate_allocations,
     fermi_factors,
     gen_calibration,
     grad_mu,
@@ -219,8 +219,8 @@ def test_08_global_optimality_proxy_vs_brute_force():
 
     Xeval = gen_calibration(spec, 512, seed=777)
     oracle = brute_force_rank_search(model, Xeval, budget, grid_step=1, r_min=2)
-    kl_fg = evaluate_allocation(model, Xeval, alloc.ranks).kl
-    kl_bf = evaluate_allocation(model, Xeval, oracle.ranks).kl
+    kl_fg = evaluate_allocations(model, Xeval, [alloc.ranks])[0].kl
+    kl_bf = evaluate_allocations(model, Xeval, [oracle.ranks])[0].kl
     assert kl_fg <= 1.10 * kl_bf
     _report(8, f"fermigrad {list(alloc.ranks)} KL {kl_fg:.4e} vs brute-force "
                f"{list(oracle.ranks)} KL {kl_bf:.4e} (gap {(kl_fg - kl_bf) / kl_bf:+.1%})")
@@ -243,8 +243,8 @@ def test_09_beats_uniform_across_seeds():
         _, alloc = optimize_ranks(model, Xtrain, budget, cfg, RhoSchedule(), opt)
         uni = uniform_ranks(spec.layer_shapes, budget, r_min=cfg.r_min)
         Xeval = gen_calibration(spec, 512, seed=7777 + seed)
-        kl_fg = evaluate_allocation(model, Xeval, alloc.ranks).kl
-        kl_un = evaluate_allocation(model, Xeval, uni.ranks).kl
+        kl_fg = evaluate_allocations(model, Xeval, [alloc.ranks])[0].kl
+        kl_un = evaluate_allocations(model, Xeval, [uni.ranks])[0].kl
         not_worse += kl_fg <= kl_un
         wins += kl_fg < kl_un
     assert not_worse == n_seeds

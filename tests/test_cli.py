@@ -231,7 +231,7 @@ class TestFermigrad:
     def test_training_and_evaluation_draws(self, pipeline, tmp_path, monkeypatch):
         _, teacher, calib = pipeline
         seen = {}
-        optimize, evaluate = fg.optimize_ranks, tm.evaluate_allocation
+        optimize, evaluate = fg.optimize_ranks, tm.evaluate_allocations
 
         def recording_optimize(model, data, *args):
             seen["train"] = data
@@ -242,7 +242,7 @@ class TestFermigrad:
             return evaluate(model, data, *args)
 
         monkeypatch.setattr(fg, "optimize_ranks", recording_optimize)
-        monkeypatch.setattr(tm, "evaluate_allocation", recording_evaluate)
+        monkeypatch.setattr(tm, "evaluate_allocations", recording_evaluate)
         assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
                     "--target-ratio", "0.6", "--r-min", "2", "--iters", "5",
                     "--kl-samples", "48", "--seed", "8",
@@ -251,6 +251,51 @@ class TestFermigrad:
         spec = mio.load_model_package(teacher).spec
         assert np.array_equal(seen["train"], tm.gen_calibration(spec, 48, 8))
         assert np.array_equal(seen["eval"], tm.gen_calibration(spec, 48, 9))
+
+    def _fermigrad_with_report(self, teacher, calib, tmp_path, capsys):
+        """fermigrad at ratio 0.6 and r_min 2; returns its stdout line and report."""
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--r-min", "2", "--n-scale", "1e7",
+                    "--step", "0.5", "--iters", "400", "--kl-samples", "48", "--seed", "11",
+                    "--out-ranks", str(tmp_path / "r.json"),
+                    "--report", str(report)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out), json.loads(report.read_text())
+
+    def test_uniform_row_scored_on_the_held_out_draw(self, pipeline, tmp_path, capsys):
+        _, teacher, calib = pipeline
+        printed, rep = self._fermigrad_with_report(teacher, calib, tmp_path, capsys)
+        model = _load_factored(SimpleNamespace(model=str(teacher), calib=str(calib)))
+        budget = fg.BudgetConstraint.from_shapes(
+            model.spec.layer_shapes, n_target=rep["target_params"], mode="linear",
+            n_inc=model.n_inc)
+        uniform = fg.uniform_ranks(model.spec.layer_shapes, budget, r_min=2).ranks
+        want, = tm.evaluate_allocations(model, tm.gen_calibration(model.spec, 48, 12),
+                                        [uniform])
+        assert rep["kl_uniform_eval"] == printed["kl_uniform_eval"] == want.kl
+        assert rep["final_ranks"] != uniform.tolist()
+        assert rep["equals_uniform"] is printed["equals_uniform"] is False
+
+    def test_uniform_final_ranks_are_flagged_and_scored_once(self, pipeline, tmp_path,
+                                                             capsys, monkeypatch):
+        _, teacher, calib = pipeline
+        optimize, hard_forward = fg.optimize_ranks, fg.hard_forward
+        students = []
+
+        def optimize_to_uniform(model, data, budget, fermi_cfg, *args):
+            trajectory, _ = optimize(model, data, budget, fermi_cfg, *args)
+            students.clear()   # count the held-out scoring's forwards only
+            return trajectory, fg.uniform_ranks(model.spec.layer_shapes, budget,
+                                                r_min=fermi_cfg.r_min)
+
+        monkeypatch.setattr(fg, "optimize_ranks", optimize_to_uniform)
+        monkeypatch.setattr(fg, "hard_forward",
+                            lambda *a: students.append(tuple(a[3])) or hard_forward(*a))
+        printed, rep = self._fermigrad_with_report(teacher, calib, tmp_path, capsys)
+        assert rep["equals_uniform"] is printed["equals_uniform"] is True
+        assert rep["kl_uniform_eval"] == rep["kl_eval"] == printed["kl_uniform_eval"]
+        assert students == [tuple(rep["final_ranks"])]
 
     def test_overflow_outside_the_gates_is_a_numeric_error(self, pipeline, tmp_path,
                                                             capsys):

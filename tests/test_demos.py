@@ -1,4 +1,5 @@
-"""The demos run to completion against the package in src/."""
+"""The demos and the README's library quickstart run to completion against the
+package in src/."""
 
 import os
 import subprocess
@@ -25,6 +26,16 @@ def test_three_python_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart_exits_zero():
+    """The python block under the README's "Quickstart (library)" heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Quickstart (library)\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -20,12 +20,13 @@ def equiv_ab():
     return module
 
 
-def write_tree(root: Path, kl: float, wall: float, mu: str, weight: bytes, extra: bool):
+def write_tree(root: Path, kl: float, wall: float, mu: str, weight: bytes, extra: bool,
+               added=None):
     root.mkdir()
     (root / "same.lrmx").write_bytes(b"LRMX same")
     (root / "w.lrmx").write_bytes(weight)
     report = {"kl_eval": kl, "final_ranks": [3, 4], "stop_reason": "converged",
-              "wall_time_s": wall, "timings_s": {"load": wall / 2}}
+              "wall_time_s": wall, "timings_s": {"load": wall / 2}, **(added or {})}
     (root / "fermigrad.json").write_text(json.dumps(report))
     (root / "timing_only.json").write_text(json.dumps({"ranks": [3], "wall_time_s": wall}))
     (root / "trajectory.csv").write_text(f"iter,mu_0,kl\n0,{mu},0.25\n1,3.0,0.125\n")
@@ -36,7 +37,8 @@ def write_tree(root: Path, kl: float, wall: float, mu: str, weight: bytes, extra
 def test_finds_each_kind_of_difference(equiv_ab, tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     write_tree(parent, kl=1.0, wall=2.0, mu="4.0", weight=b"LRMX a", extra=True)
-    write_tree(change, kl=1.25, wall=3.0, mu="4.004", weight=b"LRMX b", extra=False)
+    write_tree(change, kl=1.25, wall=3.0, mu="4.004", weight=b"LRMX b", extra=False,
+               added={"equals_uniform": True})
     files, diffs = equiv_ab.compare_trees(parent, change)
 
     assert files["same.lrmx"] == {"identical_bytes": True, "match": True}
@@ -46,6 +48,8 @@ def test_finds_each_kind_of_difference(equiv_ab, tmp_path):
     assert files["timing_only.json"] == {"identical_bytes": False, "match": True}
     assert "wall_time_s" not in diffs["timing_only.json"]
     assert not files["fermigrad.json"]["match"]
+    assert files["fermigrad.json"]["only_in_change"] == ["equals_uniform"]
+    assert "only_in_parent" not in files["fermigrad.json"]
     assert diffs["fermigrad.json"]["kl_eval"] == pytest.approx(0.2)
     assert diffs["fermigrad.json"]["final_ranks[1]"] == 0.0
     assert not any(key.startswith("timings_s") for key in diffs["fermigrad.json"])

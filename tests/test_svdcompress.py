@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from lrcompress import (
-    CalibState,
-    accumulate_calibration,
     cholesky_whiten,
     data_aware_svd,
     plain_svd_compress,
@@ -36,39 +34,6 @@ def planted_whitened_layer(shape, sigma, seed):
 # (m - n)-dimensional null space leaks into A.
 LAYER_SHAPES = pytest.mark.parametrize("shape", [(128, 64), (64, 128), (48, 48)],
                                        ids=["tall", "wide", "square"])
-
-
-class TestAccumulateCalibration:
-    def test_identity_batch(self):
-        state = accumulate_calibration(CalibState.empty(3), np.eye(3))
-        assert np.array_equal(state.C, np.eye(3))
-        assert state.sample_count == 3
-
-    def test_zero_batch(self):
-        state = accumulate_calibration(CalibState.empty(3), np.zeros((3, 5)))
-        assert np.array_equal(state.C, np.zeros((3, 3)))
-        assert state.sample_count == 5
-
-    def test_order_independent(self):
-        rng = np.random.default_rng(101)
-        X1 = rng.standard_normal((6, 10))
-        X2 = rng.standard_normal((6, 7))
-        a = accumulate_calibration(accumulate_calibration(CalibState.empty(6), X1), X2)
-        b = accumulate_calibration(accumulate_calibration(CalibState.empty(6), X2), X1)
-        assert np.linalg.norm(a.C - b.C) <= 1e-12 * np.linalg.norm(a.C)
-        assert a.sample_count == b.sample_count == 17
-
-    def test_symmetric_psd(self):
-        rng = np.random.default_rng(55)
-        state = CalibState.empty(8)
-        for _ in range(3):
-            state = accumulate_calibration(state, rng.standard_normal((8, 12)))
-        assert np.linalg.norm(state.C - state.C.T) <= 1e-10 * np.linalg.norm(state.C)
-        assert np.min(np.linalg.eigvalsh(state.C)) >= -1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            accumulate_calibration(CalibState.empty(3), np.eye(4))
 
 
 class TestPlainSvdCompress:

@@ -12,7 +12,6 @@ from lrcompress import (
     brute_force_rank_search,
     build_teacher,
     default_spec,
-    evaluate_allocation,
     evaluate_allocations,
     gen_calibration,
     kl_divergence,
@@ -125,6 +124,42 @@ class TestGenCalibration:
         assert np.linalg.norm(C1 - C2) <= 0.2 * np.linalg.norm(C1)
 
 
+class TestLayerCalibrationMatrices:
+    """The one way C is formed: C_l = h_l h_l^T of each layer's input h_l."""
+
+    @pytest.fixture(scope="class", params=["desk", "rectangular"])
+    def calibrated(self, request):
+        if request.param == "desk":
+            spec = default_spec(seed=2)
+        else:
+            spec = ToyModelSpec(layer_shapes=[(20, 28), (16, 20), (12, 16)],
+                                planted_ranks=[4, 6, 5], seed=21)
+        model = build_teacher(spec)
+        X = gen_calibration(spec, 256, seed=22)
+        return model, X, tm.layer_calibration_matrices(model, X)
+
+    def test_one_square_matrix_per_layer(self, calibrated):
+        model, _, mats = calibrated
+        assert [C.shape for C in mats] == [(n, n) for _, n in model.spec.layer_shapes]
+
+    def test_exactly_symmetric_and_psd(self, calibrated):
+        *_, mats = calibrated
+        for C in mats:
+            assert np.array_equal(C, C.T)
+            eigs = np.linalg.eigvalsh(C)
+            assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_first_is_the_input_product(self, calibrated):
+        _, X, mats = calibrated
+        assert np.array_equal(mats[0], X @ X.T)
+
+    def test_each_is_the_product_of_its_layer_input(self, calibrated):
+        model, X, mats = calibrated
+        inputs = fg.layer_inputs(model.dense_weights, model.nonlinearity, X)
+        for C, h in zip(mats, inputs, strict=True):
+            assert np.array_equal(C, h @ h.T)
+
+
 class TestAttachFactors:
     def test_full_rank_factors_reconstruct_dense(self, default_model):
         _, model, _ = default_model
@@ -182,7 +217,7 @@ class TestForwardModes:
         wrong = np.zeros((63, 4))
         for call in (lambda: tm.layer_calibration_matrices(model, wrong),
                      lambda: attach_data_aware_factors(build_teacher(spec), wrong),
-                     lambda: evaluate_allocation(model, wrong, spec.caps()),
+                     lambda: evaluate_allocations(model, wrong, [spec.caps()])[0],
                      lambda: brute_force_rank_search(model, wrong, budget, grid_step=16)):
             with pytest.raises(DimensionMismatch, match="input width 63, model expects 64"):
                 call()
@@ -191,7 +226,7 @@ class TestForwardModes:
 class TestEvaluateAllocation:
     def test_caps_allocation_lossless(self, default_model):
         spec, model, X = default_model
-        rep = evaluate_allocation(model, X[:, :64], spec.caps())
+        rep = evaluate_allocations(model, X[:, :64], [spec.caps()])[0]
         assert rep.kl <= 1e-10
         assert np.all(rep.per_layer_residual <= 1e-10)
 
@@ -201,14 +236,14 @@ class TestEvaluateAllocation:
         model = build_teacher(spec)
         X = gen_calibration(spec, 256, seed=14)
         attach_data_aware_factors(model, X)
-        rep = evaluate_allocation(model, X[:, :64], spec.planted_ranks)
+        rep = evaluate_allocations(model, X[:, :64], [spec.planted_ranks])[0]
         assert rep.kl <= 1e-8
 
     def test_kl_matches_definition(self, default_model):
         spec, model, X = default_model
         Xe = X[:, :48]
         ranks = np.array([6, 10, 14, 30])
-        rep = evaluate_allocation(model, Xe, ranks)
+        rep = evaluate_allocations(model, Xe, [ranks])[0]
         t = fg.dense_forward(model.dense_weights, model.nonlinearity, Xe)
         s = fg.hard_forward(model.factors, model.nonlinearity, Xe, ranks)
         assert rep.kl == kl_divergence(t.T, s.T)
@@ -217,7 +252,7 @@ class TestEvaluateAllocation:
         spec, model, X = default_model
         Xe = X[:, :48]
         allocations = [np.array([6, 10, 14, 30]), spec.caps(), [1, 64, 2, 8]]
-        singles = [evaluate_allocation(model, Xe, ranks) for ranks in allocations]
+        singles = [evaluate_allocations(model, Xe, [ranks])[0] for ranks in allocations]
         calls = []
         dense_forward = fg.dense_forward
         monkeypatch.setattr(fg, "dense_forward",
@@ -243,7 +278,7 @@ class TestEvaluateAllocation:
     def test_param_counts_match_formulas(self, default_model):
         spec, model, _ = default_model
         ranks = np.array([6, 10, 14, 30])
-        rep = evaluate_allocation(model, gen_calibration(spec, 16, seed=0), ranks)
+        rep = evaluate_allocations(model, gen_calibration(spec, 16, seed=0), [ranks])[0]
         assert rep.params_linear == int(np.sum(ranks * 128))
         assert rep.params_parabolic == int(np.sum(ranks * 128 - ranks**2))
 
@@ -255,13 +290,13 @@ class TestEvaluateAllocation:
         rng = np.random.default_rng(16)
         for _ in range(4):
             ranks = rng.integers(3, 16, size=4)
-            kl_start = kl_prev = evaluate_allocation(model, Xe, ranks).kl
+            kl_start = kl_prev = evaluate_allocations(model, Xe, [ranks])[0].kl
             for _ in range(10):
                 l = int(rng.integers(0, 4))
                 if ranks[l] >= 64:
                     continue
                 ranks[l] += 1
-                kl = evaluate_allocation(model, Xe, ranks).kl
+                kl = evaluate_allocations(model, Xe, [ranks])[0].kl
                 assert kl <= kl_prev * 1.05 + 1e-9
                 kl_prev = kl
             assert kl_prev < kl_start
@@ -311,7 +346,7 @@ class TestBlockedScoring:
         reports = evaluate_allocations(model, X, [a, b, np.array(a), a])
         assert students == [tuple(a), tuple(b)] * 4
         assert reports[0].to_dict() == reports[2].to_dict() == reports[3].to_dict()
-        assert reports[1].to_dict() == evaluate_allocation(model, X, b).to_dict()
+        assert reports[1].to_dict() == evaluate_allocations(model, X, [b])[0].to_dict()
         arrays = [x for rep in reports for x in (rep.ranks, rep.per_layer_residual)]
         assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(arrays, 2))
 
@@ -544,9 +579,9 @@ class TestBruteForce:
         budget = BudgetConstraint.from_shapes(spec.layer_shapes, n_target=307,
                                               mode="linear")
         best = brute_force_rank_search(model, Xe, budget, grid_step=1, r_min=2)
-        best_kl = evaluate_allocation(model, Xe, best.ranks).kl
+        best_kl = evaluate_allocations(model, Xe, [best.ranks])[0].kl
         uni = uniform_ranks(spec.layer_shapes, budget, r_min=2)
-        assert best_kl <= evaluate_allocation(model, Xe, uni.ranks).kl + 1e-12
+        assert best_kl <= evaluate_allocations(model, Xe, [uni.ranks])[0].kl + 1e-12
         rng = np.random.default_rng(23)
         tried = 0
         while tried < 20:
@@ -554,7 +589,7 @@ class TestBruteForce:
             if fg.count_params(ranks, budget) > budget.n_target:
                 continue
             tried += 1
-            assert best_kl <= evaluate_allocation(model, Xe, ranks).kl + 1e-12
+            assert best_kl <= evaluate_allocations(model, Xe, [ranks])[0].kl + 1e-12
 
     def test_lexicographic_tie_break_and_determinism(self):
         spec, model, X = self.small_fixture()
@@ -566,14 +601,14 @@ class TestBruteForce:
         assert np.array_equal(a.ranks, b.ranks)
         # independently enumerate the near-tie set; the result must be its
         # lexicographic minimum
-        best_kl = evaluate_allocation(model, Xe, a.ranks).kl
+        best_kl = evaluate_allocations(model, Xe, [a.ranks])[0].kl
         ties = []
         for r0 in range(2, 17):
             for r1 in range(2, 17):
                 ranks = np.array([r0, r1])
                 if fg.count_params(ranks, budget) > budget.n_target:
                     continue
-                kl = evaluate_allocation(model, Xe, ranks).kl
+                kl = evaluate_allocations(model, Xe, [ranks])[0].kl
                 if kl <= best_kl * (1 + 1e-12):
                     ties.append((r0, r1))
         assert tuple(a.ranks.tolist()) == min(ties)
