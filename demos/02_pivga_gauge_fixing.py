@@ -20,7 +20,7 @@ from lrcompress import (
     pivga_forward,
     plain_svd_compress,
 )
-from lrcompress.linalg import COND_LIMIT
+from lrcompress.pivga import COND_LIMIT
 
 rng = np.random.default_rng(7)
 m, n, rank = 256, 192, 48

@@ -49,7 +49,6 @@ from .linalg import (
     SvdResult,
     cholesky_whiten,
     left_singular_vectors,
-    lu_row_pivots,
     svd_descending,
 )
 from .pivga import (

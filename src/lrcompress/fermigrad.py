@@ -515,25 +515,26 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     with _loop_errstate():
         net = _Net(model.factors, model.nonlinearity, fermi_cfg)
         # The teacher's log p (float64) and B_0 @ x (loop dtype) of each sample
-        # the loop can reach, formed once, one consecutive batch at a time, in two
-        # arrays: one stacked array left 8 MB more heap resident after a 1024^2
-        # fixture run (glibc malloc).
+        # the loop can reach, formed once, one consecutive batch at a time. They
+        # are stored sample-major, so that a batch is one contiguous block of
+        # rows, and in two arrays: one stacked array left 8 MB more heap
+        # resident after a 1024^2 fixture run (glibc malloc).
         reach = min(n_samples, opt_cfg.max_iters * bs)
-        log_ps = np.empty((model.dense_weights[-1].shape[0], reach))
-        u0s = np.empty((model.factors[0].rank, reach), dtype=net.dtype)
+        log_ps = np.empty((reach, model.dense_weights[-1].shape[0]))
+        u0s = np.empty((reach, model.factors[0].rank), dtype=net.dtype)
         for s in range(0, reach, bs):
             batch = data[:, np.arange(s, min(s + bs, reach))]
             logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
-            log_ps[:, s:s + bs] = _log_softmax(logits, axis=0)
-            u0s[:, s:s + bs] = model.factors[0].B @ batch
+            log_ps[s:s + bs] = _log_softmax(logits, axis=0).T
+            u0s[s:s + bs] = (model.factors[0].B @ batch).T
 
         for t in range(opt_cfg.max_iters):
-            # the batch's columns, wrapping past the last sample, C-ordered as the
-            # products above were (log_ps[:, cols] would be Fortran-ordered, and
-            # BLAS would round it differently); p is formed as _teacher_terms does
-            cols = (t * bs) % n_samples + np.arange(bs)
-            log_p = np.take(log_ps, cols, axis=1, mode="wrap")
-            u0 = np.take(u0s, cols, axis=1, mode="wrap")
+            # the batch's samples, wrapping past the last one, copied back to C
+            # order as the products above were (a .T view would be Fortran-ordered,
+            # and BLAS would round it differently); p is formed as _teacher_terms does
+            rows = (t * bs) % n_samples + np.arange(bs)
+            log_p = np.take(log_ps, rows, axis=0, mode="wrap").T.copy()
+            u0 = np.take(u0s, rows, axis=0, mode="wrap").T.copy()
             teacher = (np.exp(log_p), log_p)
 
             rho = rho_at(t)

@@ -2,11 +2,6 @@
 
 SVD, symmetric eigendecomposition and Cholesky delegate to LAPACK (via
 numpy) with post-processing that pins down gauge signs and jitter behaviour.
-Skeleton-column selection reads its pivot order from one LAPACK ``getrf``
-(partial pivoting: at each step the first maximum of the computed
-magnitudes, as ``idamax`` picks it; ``laswp`` replays its row swaps) and
-applies our own rank-deficiency threshold to the diagonal of U; PivGa
-reuses the same packed L and U for its D block instead of factorizing again.
 
 All computation is in 64-bit floats. Inputs are validated to be finite;
 every function is a pure function of its arguments.
@@ -18,25 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NotSymmetric,
-    RankDeficient,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 # Relative jitter multipliers tried in order; scaled by mean(diag(C)).
 # The first rung that makes Cholesky succeed wins, so well-behaved
 # calibration matrices are factorized exactly.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
-# Condition-number ceiling for square solves; above this the 64-bit
-# result cannot be trusted.
-COND_LIMIT = 1e12
-
-# A pivot below PIVOT_RTOL * max|M| counts as zero.
-PIVOT_RTOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -133,45 +115,3 @@ def cholesky_whiten(C) -> np.ndarray:
     raise NotPositiveDefinite(
         f"Cholesky failed for every jitter in {JITTER_LADDER}"
     )
-
-
-def _pivoted_lu(M, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row order and packed LU factors of row-pivoted elimination on M[:, :r].
-
-    One LAPACK ``getrf``: M[order, :r] = L @ U with L unit lower (rows x r)
-    and U upper (r x r), both packed in the returned array, whose rows are
-    already in ``order``. Raises as ``lu_row_pivots`` does.
-    """
-    M = as_matrix(M, "M")
-    rows, cols = M.shape
-    if not 1 <= r <= min(rows, cols):
-        raise DimensionMismatch(f"need 1 <= r <= min{M.shape}, got r={r}")
-    import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
-
-    tol = PIVOT_RTOL * float(np.abs(M).max())
-    lu, ipiv, _ = scipy.linalg.lapack.dgetrf(M[:, :r])
-    pivots = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivots <= tol)
-    if small.size:
-        k = int(small[0])
-        raise RankDeficient(
-            f"pivot {k} magnitude {pivots[k]:.3e} below threshold {tol:.3e}"
-        )
-    # ipiv[k] is the row swapped with row k at step k; dlaswp replays the swaps.
-    order = scipy.linalg.lapack.dlaswp(np.arange(rows, dtype=np.float64)[:, None], ipiv)
-    return order[:, 0].astype(np.int64), lu
-
-
-def lu_row_pivots(M, r: int) -> np.ndarray:
-    """First ``r`` pivot-row indices of Gaussian elimination with row pivoting.
-
-    Returned in pivot order (the order elimination selected them). At each
-    column the row holding the first maximum of the computed magnitudes
-    among the remaining rows is chosen (LAPACK ``idamax``). Where
-    elimination produces magnitudes that tie exactly, as it can on small
-    integer-valued matrices, round-off in LAPACK's scaling by the
-    reciprocal pivot may break the tie towards a different, equally valid
-    row. Only the first ``r`` columns of M take part. Raises RankDeficient
-    if a pivot falls below 1e-12 * max|M| before r pivots are found.
-    """
-    return _pivoted_lu(M, r)[0][:r].copy()

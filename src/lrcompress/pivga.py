@@ -6,8 +6,11 @@ block into an implicit identity, dropping r^2 stored parameters:
 
     W_r = A B = Cmat [I | D] P^T,   Cmat = A B0,  D = B0^{-1} B1,
 
-where P gathers the skeleton columns (the pivot rows of one LAPACK ``getrf``
-of B^T) to the front. That same ``getrf`` gives D: it factors
+where P gathers the skeleton columns to the front: the pivot rows of one
+LAPACK ``getrf`` of B^T, which at each step takes the first maximum of the
+computed magnitudes (as ``idamax`` picks it) and whose row swaps ``dlaswp``
+replays. A diagonal entry of U below ``PIVOT_RTOL`` * max|B| is refused as
+rank deficiency. That same ``getrf`` gives D: it factors
 B^T P = [L11; L21] U with L unit lower, so B0 = U^T L11^T, B1 = U^T L21^T and
 D = L11^{-T} L21^T, one triangular solve. Both run on B (r x n) rather than
 on the full product: the columns of A @ B are independent exactly when the
@@ -20,9 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditioned
-from .linalg import COND_LIMIT, _pivoted_lu
+from .errors import DimensionMismatch, IllConditioned, RankDeficient
+from .linalg import as_matrix
 from .svdcompress import LowRankFactors
+
+# A getrf pivot below PIVOT_RTOL * max|B| counts as zero.
+PIVOT_RTOL = 1e-12
+
+# Condition-number ceiling of the skeleton block B0; above this the 64-bit
+# D = B0^{-1} B1 cannot be trusted.
+COND_LIMIT = 1e12
 
 
 @dataclass
@@ -60,15 +70,34 @@ class ParamCount:
     permutation_indices: int
 
 
-def _skeleton(B) -> tuple[np.ndarray, np.ndarray]:
-    """Skeleton permutation of B and the packed LU of B^T with rows in that order."""
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2:
-        raise DimensionMismatch("B must be 2-D")
-    r = B.shape[0]
-    order, lu = _pivoted_lu(B.T, r)
-    rows = np.concatenate([np.arange(r), r + np.argsort(order[r:])])
-    return order[rows], lu[rows]
+def _skeleton(B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Skeleton permutation of B, the packed LU of B^T and the order of its tail.
+
+    One ``getrf`` of B^T: B^T[order] = L @ U, packed in ``lu`` with rows in
+    ``order``. perm is order's first r entries, then the rest ascending, which
+    ``tail`` gathers from order[r:]; lu[r:][tail] is L21 in perm's order.
+    """
+    import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
+
+    B = as_matrix(B, "B")
+    r, n = B.shape
+    if not 1 <= r <= n:
+        raise DimensionMismatch(f"need an r x n B with 1 <= r <= n, got {B.shape}")
+    tol = PIVOT_RTOL * float(np.abs(B).max())
+    # B^T of a C-ordered B is already column-major, as getrf wants it
+    lu, ipiv, _ = scipy.linalg.lapack.dgetrf(B.T)
+    pivots = np.abs(np.diagonal(lu))
+    small = np.flatnonzero(pivots <= tol)
+    if small.size:
+        k = int(small[0])
+        raise RankDeficient(
+            f"pivot {k} magnitude {pivots[k]:.3e} below threshold {tol:.3e}"
+        )
+    # ipiv[k] is the row swapped with row k at step k; dlaswp replays the swaps.
+    order = scipy.linalg.lapack.dlaswp(np.arange(n, dtype=np.float64)[:, None], ipiv)
+    order = order[:, 0].astype(np.int64)
+    tail = np.argsort(order[r:])
+    return np.concatenate([order[:r], order[r:][tail]]), lu, tail
 
 
 def select_skeleton_columns(B) -> np.ndarray:
@@ -87,7 +116,7 @@ def pivga_factorize(f: LowRankFactors) -> PivGaFactors:
     """
     import scipy.linalg  # only PivGa needs SciPy; the other commands start without it
 
-    perm, lu = _skeleton(f.B)
+    perm, lu, tail = _skeleton(f.B)
     r = f.rank
     B0 = f.B[:, perm[:r]]
     cond = float(np.linalg.cond(B0))
@@ -96,7 +125,7 @@ def pivga_factorize(f: LowRankFactors) -> PivGaFactors:
             f"leading block condition {cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "keep the plain factors for this layer"
         )
-    D = scipy.linalg.solve_triangular(lu[:r], lu[r:].T, trans="T", lower=True,
+    D = scipy.linalg.solve_triangular(lu[:r], lu[r:][tail].T, trans="T", lower=True,
                                       unit_diagonal=True)
     # D is kept in C order, as load_model_package returns it: D @ x2 is faster.
     return PivGaFactors(Cmat=f.A @ B0, D=np.ascontiguousarray(D), perm=perm, rank=r,

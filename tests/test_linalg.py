@@ -1,5 +1,5 @@
 """Numeric-core contracts: SVD, Gram-route left singular vectors, Cholesky whitening,
-pivoted LU."""
+and the row pivots of PivGa's skeleton selection against elimination written out."""
 
 import re
 
@@ -12,20 +12,25 @@ from lrcompress import (
     RankDeficient,
     cholesky_whiten,
     left_singular_vectors,
-    lu_row_pivots,
+    select_skeleton_columns,
     svd_descending,
 )
 from lrcompress.errors import DimensionMismatch
-from lrcompress.linalg import PIVOT_RTOL
+from lrcompress.pivga import PIVOT_RTOL
+
+
+def skeleton_pivots(M, r):
+    """The first r pivot rows of row-pivoted elimination on M[:, :r], in pivot order."""
+    return select_skeleton_columns(M[:, :r].T)[:r]
 
 
 def reference_row_pivots(M, r):
-    """Row-pivoted Gaussian elimination written out step by step.
+    """Row-pivoted Gaussian elimination on M[:, :r] written out step by step.
 
-    The oracle for lu_row_pivots: same pivots and the same RankDeficient
+    The oracle for skeleton_pivots: same pivots and the same RankDeficient
     step, with ties going to the lowest row among equal magnitudes.
     """
-    A = np.array(M, dtype=np.float64)
+    A = np.array(M[:, :r], dtype=np.float64)
     rows = A.shape[0]
     idx = np.arange(rows)
     tol = PIVOT_RTOL * float(np.abs(A).max())
@@ -166,18 +171,20 @@ class TestCholeskyWhiten:
 
 
 class TestLuRowPivots:
+    """select_skeleton_columns(M[:, :r].T)[:r], the row pivots of one getrf."""
+
     def test_identity_already_pivoted(self):
-        assert lu_row_pivots(np.eye(4), 2).tolist() == [0, 1]
+        assert skeleton_pivots(np.eye(4), 2).tolist() == [0, 1]
 
     def test_largest_magnitude_first(self):
         # hand-run elimination: column 0 pivots on |10| (row 1), then |5| (row 2)
         M = np.array([[0.0, 1.0], [10.0, 0.0], [0.0, 5.0]])
-        assert lu_row_pivots(M, 2).tolist() == [1, 2]
+        assert skeleton_pivots(M, 2).tolist() == [1, 2]
 
     def test_duplicate_rows_rank_deficient(self):
         M = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
         with pytest.raises(RankDeficient):
-            lu_row_pivots(M, 3)
+            skeleton_pivots(M, 3)
 
     def test_indices_distinct_and_bounded(self):
         rng = np.random.default_rng(13)
@@ -186,21 +193,21 @@ class TestLuRowPivots:
             cols = int(rng.integers(3, 30))
             r = int(rng.integers(1, min(rows, cols) + 1))
             M = rng.standard_normal((rows, cols))
-            piv = lu_row_pivots(M, r)
+            piv = skeleton_pivots(M, r)
             assert len(set(piv.tolist())) == r
             assert np.all(piv >= 0) and np.all(piv < rows)
 
     def test_pivot_rows_independent(self):
         rng = np.random.default_rng(17)
         M = rng.standard_normal((12, 6))
-        piv = lu_row_pivots(M, 6)
+        piv = skeleton_pivots(M, 6)
         sub = M[piv, :]
         assert np.linalg.matrix_rank(sub) == 6
 
     def test_tie_break_lowest_index(self):
         # both rows have the same leading magnitude; row 0 must win
         M = np.array([[2.0, 0.0], [-2.0, 1.0]])
-        assert lu_row_pivots(M, 1).tolist() == [0]
+        assert skeleton_pivots(M, 1).tolist() == [0]
 
     @pytest.mark.parametrize("shape", ["tall", "wide", "square"])
     def test_matches_reference_elimination(self, shape):
@@ -210,7 +217,7 @@ class TestLuRowPivots:
             rows, cols = {"tall": (b, a), "wide": (a, b), "square": (a, a)}[shape]
             r = int(rng.integers(1, min(rows, cols) + 1))
             M = rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)
-            assert lu_row_pivots(M, r).tolist() == reference_row_pivots(M, r).tolist()
+            assert skeleton_pivots(M, r).tolist() == reference_row_pivots(M, r).tolist()
 
     def test_rank_deficient_at_reference_step(self):
         rng = np.random.default_rng(53)
@@ -221,7 +228,7 @@ class TestLuRowPivots:
             M = rng.standard_normal((rows, q)) @ rng.standard_normal((q, cols))
             r = int(rng.integers(q + 1, min(rows, cols) + 1))
             with pytest.raises(RankDeficient) as got:
-                lu_row_pivots(M, r)
+                skeleton_pivots(M, r)
             with pytest.raises(RankDeficient) as want:
                 reference_row_pivots(M, r)
             assert _failing_step(got) == _failing_step(want) == q
@@ -232,11 +239,12 @@ class TestLuRowPivots:
         rng = np.random.default_rng(59)
         for M in (rng.standard_normal((9, 1)), rng.standard_normal((9, 4))):
             before = M.copy()
-            lu_row_pivots(M, 1)
+            skeleton_pivots(M, 1)
             assert np.array_equal(M, before)
 
     def test_bad_r(self):
+        # r = rows(B) outside [1, cols(B)]: refused before any reduction
         with pytest.raises(DimensionMismatch):
-            lu_row_pivots(np.eye(3), 0)
+            select_skeleton_columns(np.eye(3)[:0])
         with pytest.raises(DimensionMismatch):
-            lu_row_pivots(np.eye(3), 4)
+            select_skeleton_columns(np.eye(4, 3))

@@ -152,6 +152,22 @@ class TestPivgaFactorize:
             pivga_factorize(seeded_factors(50 + seed, m, n, r))
             assert calls == [(n, r)]
 
+    def test_factors_independent_of_b_layout(self):
+        # getrf is handed B^T itself, which is column-major only for a C-ordered B
+        rng = np.random.default_rng(61)
+        r, n = 12, 40
+        A = rng.standard_normal((30, r))
+        B_wide = rng.standard_normal((r, 2 * n))
+        B = np.ascontiguousarray(B_wide[:, ::2])
+        want = pivga_factorize(LowRankFactors(A=A, B=B))
+        for other in (np.asfortranarray(B), B_wide[:, ::2]):
+            assert not other.flags.c_contiguous
+            got = pivga_factorize(LowRankFactors(A=A, B=other))
+            assert np.array_equal(select_skeleton_columns(other), want.perm)
+            for name in ("perm", "Cmat", "D"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.cond_b0 == want.cond_b0
+
     @pytest.mark.parametrize("graded", [False, True], ids=["gaussian", "graded-rows"])
     def test_d_matches_reference_solve(self, graded):
         rng = np.random.default_rng(60)
