@@ -7,10 +7,10 @@ BLAS thread runs in-process (the CLI through ``lrcompress.cli.main``):
 
 - the desk chain: for each of the benchmark's desk teachers 0-3,
   gen-teacher and calibrate, then for each of ``--mode linear`` and
-  ``--mode parabolic`` fermigrad, compress --pivga and compare (uniform and
-  brute force), with fermigrad and compare in that mode;
+  ``--mode parabolic`` fermigrad, compress with and without --pivga and
+  compare (uniform and brute force), with fermigrad and compare in that mode;
 - the fixture chain: the 2x1024^2 fixture of acceptance test 07 through
-  the same five commands;
+  the same six commands;
 - the pivga-serve write side: for each of the benchmark's pivga-serve
   seeds 0 and 1, ``pivga_factorize`` and ``save_model_package`` of its
   2048^2, r=512 factors.
@@ -93,8 +93,8 @@ def producer_argvs(d: str, c) -> list[list[str]]:
 
 
 def consumer_argvs(d: str, src: str, fermi: list, compare: list) -> list[list[str]]:
-    """fermigrad, compress --pivga and compare of the teacher and calibration
-    under ``src``, writing under ``d``."""
+    """fermigrad, compress with and without --pivga and compare of the teacher
+    and calibration under ``src``, writing under ``d``."""
     common = ["--model", f"{src}/teacher", "--calib", f"{src}/calib"]
     R = f"{d}/ranks.json"
     return [
@@ -102,6 +102,8 @@ def consumer_argvs(d: str, src: str, fermi: list, compare: list) -> list[list[st
          f"{d}/trajectory.csv", "--report", f"{d}/fermigrad.json"],
         ["compress", *common, "--ranks", R, "--pivga", "--out", f"{d}/student",
          "--report", f"{d}/compress.json"],
+        ["compress", *common, "--ranks", R, "--out", f"{d}/student_plain",
+         "--report", f"{d}/compress_plain.json"],
         ["compare", *common, "--ranks", f"optimized={R}", *compare,
          "--out", f"{d}/compare.json"],
     ]

@@ -5,7 +5,7 @@ Subcommands:
     gen-teacher   build a seeded toy teacher model package
     calibrate     run the teacher on seeded inputs, store per-layer C matrices
                   and the full-rank data-aware factors they give
-    compress      data-aware compression of a teacher at given/uniform ranks
+    compress      data-aware compression of a teacher at the ranks of a ranks file
     fermigrad     optimize per-layer ranks under a parameter budget
     compare       evaluate allocations side by side (optionally vs uniform
                   and the brute-force oracle)
@@ -187,18 +187,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compress(args) -> int:
     timings = _StageTimer()
-    _check_outputs(args, ["out", "report"], ["model", "calib"],
-                   [("ranks", args.ranks)] if args.ranks is not None else [])
+    _check_outputs(args, ["out", "report"], ["model", "calib"], [("ranks", args.ranks)])
     model = _load_factored(args)
-    caps = model.spec.caps()
-    if args.ranks is not None:
-        ranks = _read_ranks(args.ranks, caps)
-    elif args.uniform is not None:
-        if not 0 < args.uniform <= 1:
-            raise ValueError(f"--uniform must be in (0, 1], got {args.uniform}")
-        ranks = np.clip(np.floor(args.uniform * caps).astype(np.int64), 1, caps)
-    else:
-        raise ValueError("one of --ranks / --uniform is required")
+    ranks = _read_ranks(args.ranks, model.spec.caps())
     timings.lap("load")
 
     layers = [f.truncated(int(r)) for f, r in zip(model.factors, ranks)]
@@ -215,7 +206,7 @@ def cmd_compress(args) -> int:
     report = {
         "command": "compress",
         "config": {"model": args.model, "calib": args.calib, "pivga": bool(args.pivga),
-                   "uniform": args.uniform, "ranks_file": args.ranks},
+                   "ranks_file": args.ranks},
         "ranks": [int(r) for r in ranks],
         "stored_params": sum(c.decomposed for c in counts) + model.n_inc,
         "permutation_indices": sum(c.permutation_indices for c in counts),
@@ -378,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("compress", help="data-aware compression at fixed ranks")
     k.add_argument("--model", required=True)
     k.add_argument("--calib", required=True)
-    k.add_argument("--ranks", help="JSON ranks file (e.g. from fermigrad)")
-    k.add_argument("--uniform", type=float, help="uniform compression fraction kappa")
+    k.add_argument("--ranks", required=True,
+                   help="JSON ranks file (e.g. from fermigrad, or a plain list)")
     k.add_argument("--pivga", action="store_true",
                    help="gauge-fix the factors (lossless secondary compression)")
     k.add_argument("--out", required=True, help="output package directory")

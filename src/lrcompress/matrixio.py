@@ -139,11 +139,14 @@ def _is_int_pair(v) -> bool:
 
 
 # The value kinds check_fields knows; "int" means a JSON integer that fits
-# int64 and "number" such an integer or a finite float.
+# int64, "number" such an integer or a finite float, and "file name" the name
+# of a file in the package directory itself.
 _KINDS = {
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
     "str": lambda v: isinstance(v, str),
+    "file name": lambda v: (isinstance(v, str) and v not in ("", ".", "..")
+                            and "/" not in v and "\0" not in v),
     "int": _is_int,
     "int or null": lambda v: v is None or _is_int(v),
     "non-negative int": lambda v: _is_int(v) and v >= 0,
@@ -220,9 +223,9 @@ def _write_files(out: Path, name: str, arrays: dict) -> dict:
 
 def _read_files(src: Path, files, where: str, shapes: dict) -> dict:
     """Read the file named in ``files`` for each key of ``shapes`` from ``src``.
-    A missing or non-string name, or any file whose shape is not the one in
-    ``shapes``, raises PackageFormatError."""
-    check_fields(files, f"{where} files", **dict.fromkeys(shapes, "str"))
+    A missing name, one that is not a file name in ``src``, or any file whose
+    shape is not the one in ``shapes`` raises PackageFormatError."""
+    check_fields(files, f"{where} files", **dict.fromkeys(shapes, "file name"))
     arrays = {key: (read_indices if key == "perm" else read_matrix)(src / files[key])
               for key in shapes}
     if any(arrays[key].shape != shape for key, shape in shapes.items()):
@@ -372,7 +375,7 @@ def save_calibration_package(out_dir, mats, samples: int, seed: int,
 def _read_calibration_manifest(path: Path) -> dict:
     manifest = _read_manifest(path, CALIB_FORMAT)
     for l, entry in enumerate(manifest["layers"]):
-        check_fields(entry, f"{path}: layer {l}", name="str", file="str", dim="int")
+        check_fields(entry, f"{path}: layer {l}", name="str", file="file name", dim="int")
     return manifest
 
 

@@ -19,6 +19,7 @@ from lrcompress import matrixio as mio
 from lrcompress import toymodels as tm
 from lrcompress.cli import (EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                             _load_factored, main)
+from lrcompress.errors import PackageFormatError
 from lrcompress.svdcompress import plain_svd_compress
 
 
@@ -28,7 +29,8 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """A small teacher + calibration shared across CLI tests."""
+    """A small teacher + calibration shared across CLI tests, and a plain-list
+    ranks file ``ranks.json`` that keeps half of each layer's rank cap."""
     root = tmp_path_factory.mktemp("cli")
     spec = {
         "layer_shapes": [[16, 16], [16, 16]],
@@ -46,16 +48,18 @@ def pipeline(tmp_path_factory):
     assert run(["gen-teacher", "--spec", str(spec_path), "--out", str(teacher)]) == EXIT_OK
     assert run(["calibrate", "--model", str(teacher), "--samples", "256",
                 "--seed", "21", "--out", str(calib)]) == EXIT_OK
+    (root / "ranks.json").write_text("[8, 8]")
     return root, teacher, calib
 
 
-def _consumer_argvs(teacher, calib, out):
-    """One fermigrad, compress and compare run on the given teacher and calibration."""
+def _consumer_argvs(root, teacher, calib, out):
+    """One fermigrad, compress and compare run on the given teacher and calibration;
+    compress reads the ranks file of the pipeline under ``root``."""
     common = ["--model", str(teacher), "--calib", str(calib)]
     return {
         "fermigrad": ["fermigrad", *common, "--target-ratio", "0.6", "--r-min", "2",
                       "--n-scale", "1e7", "--iters", "20", "--out-ranks", str(out / "r.json")],
-        "compress": ["compress", *common, "--uniform", "0.5", "--pivga",
+        "compress": ["compress", *common, "--ranks", str(root / "ranks.json"), "--pivga",
                      "--out", str(out / "student")],
         "compare": ["compare", *common, "--uniform", "--brute-force", "--grid-step", "4",
                     "--target-ratio", "0.6", "--r-min", "2", "--out", str(out / "cmp.json")],
@@ -121,7 +125,7 @@ class TestCompress:
         out = tmp_path / "pivga_student"
         report = tmp_path / "report.json"
         assert run(["compress", "--model", str(teacher), "--calib", str(calib),
-                    "--uniform", "0.5", "--pivga", "--out", str(out),
+                    "--ranks", str(root / "ranks.json"), "--pivga", "--out", str(out),
                     "--report", str(report)]) == EXIT_OK
         pkg = mio.load_model_package(out)
         assert all(l.kind == "pivga" for l in pkg.layers)
@@ -130,19 +134,25 @@ class TestCompress:
         assert rep["stored_params"] == 2 * (8 * 32 - 64)
         assert "wall_time_s" in rep
 
-    def test_uniform_fraction(self, pipeline, tmp_path):
+    def test_plain_list_ranks_file(self, pipeline, tmp_path):
         _, teacher, calib = pipeline
-        out = tmp_path / "u"
-        assert run(["compress", "--model", str(teacher), "--calib", str(calib),
-                    "--uniform", "0.25", "--out", str(out)]) == EXIT_OK
-        pkg = mio.load_model_package(out)
-        assert [l.payload.rank for l in pkg.layers] == [4, 4]
+        students = []
+        for name, ranks in [("plain", [4, 4]), ("fermigrad", {"ranks": [4, 4]})]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(ranks))
+            assert run(["compress", "--model", str(teacher), "--calib", str(calib),
+                        "--ranks", str(tmp_path / f"{name}.json"),
+                        "--out", str(tmp_path / name)]) == EXIT_OK
+            pkg = mio.load_model_package(tmp_path / name)
+            assert [l.payload.rank for l in pkg.layers] == [4, 4]
+            students.append(_files(tmp_path / name))
+        assert students[0] == students[1]
 
     def test_report_times_each_stage(self, pipeline, tmp_path):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         report = tmp_path / "report.json"
         assert run(["compress", "--model", str(teacher), "--calib", str(calib),
-                    "--uniform", "0.5", "--pivga", "--out", str(tmp_path / "s"),
+                    "--ranks", str(root / "ranks.json"), "--pivga",
+                    "--out", str(tmp_path / "s"),
                     "--report", str(report)]) == EXIT_OK
         rep = json.loads(report.read_text())
         stages = rep["timings_s"]
@@ -518,10 +528,10 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("cmd, flags, topic", [
         ("fermigrad", ["--out-ranks", "r.json"], "--target-ratio is required"),
-        ("compress", ["--out", "s"], "--uniform is required"),
+        ("compress", ["--out", "s"], "the following arguments are required: --ranks"),
         ("compare", ["--uniform"], "need --target-params"),
         ("compare", [], "nothing to compare"),
-    ], ids=["target", "ranks-or-uniform", "uniform-needs-target", "nothing-to-compare"])
+    ], ids=["target", "ranks", "uniform-needs-target", "nothing-to-compare"])
     def test_missing_flag_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch,
                                          cmd, flags, topic):
         _, teacher, calib = pipeline
@@ -592,12 +602,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key", ["name", "file", "dim"])
     def test_calibration_manifest_missing_key(self, pipeline, tmp_path, capsys, key):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         _edit_manifest(bad, lambda m: m["layers"][1].pop(key))
         code = run(["compress", "--model", str(teacher), "--calib", str(bad),
-                    "--uniform", "0.5", "--out", str(tmp_path / "s")])
+                    "--ranks", str(root / "ranks.json"), "--out", str(tmp_path / "s")])
         assert code == EXIT_FORMAT
         assert _one_error_line(capsys)["error"] == "PackageFormatError"
 
@@ -789,18 +799,78 @@ class TestTeacherManifest:
         assert not (tmp_path / "c").exists()
 
 
+class TestManifestFileNames:
+    """Every file a manifest names is a file in its package directory: a name
+    that is a path, or a directory, is a format error before anything is read."""
+
+    # (package, manifest edit, file of layer 1 the edited name stands for)
+    WHERE = {
+        "model-files": ("teacher", lambda m, name: m["layers"][1]["files"].update(W=name),
+                        "layer_01.W.lrmx"),
+        "calib-factors": ("calib", lambda m, name: m["layers"][1]["factors"].update(A=name),
+                          "layer_01.A.lrmx"),
+        "calib-file": ("calib", lambda m, name: m["layers"][1].update(file=name),
+                       "layer_01.C.lrmx"),
+    }
+    NAMES = {
+        "absolute": lambda pkg, file: str(pkg / file),
+        "parent": lambda pkg, file: f"../{pkg.name}/{file}",
+        "subdirectory": lambda pkg, file: f"sub/{file}",
+        "dot": lambda pkg, file: ".",
+        "dotdot": lambda pkg, file: "..",
+        "empty": lambda pkg, file: "",
+        "nul": lambda pkg, file: f"{file}\0",
+    }
+
+    def _damaged(self, pipeline, tmp_path, where, name):
+        """Copies of the teacher and calibration in which one manifest names
+        layer 1's file by ``name``; where that name is a path, it leads to a
+        copy of the right file."""
+        _, teacher, calib = pipeline
+        shutil.copytree(teacher, tmp_path / "teacher")
+        shutil.copytree(calib, tmp_path / "calib")
+        package, edit, file = self.WHERE[where]
+        pkg = tmp_path / package
+        (pkg / "sub").mkdir()
+        shutil.copy(pkg / file, pkg / "sub" / file)
+        _edit_manifest(pkg, lambda m: edit(m, self.NAMES[name](pkg, file)))
+        return tmp_path / "teacher", tmp_path / "calib"
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("where", WHERE)
+    def test_library_refuses(self, pipeline, tmp_path, where, name):
+        teacher, calib = self._damaged(pipeline, tmp_path, where, name)
+        with pytest.raises(PackageFormatError, match="must be file name"):
+            model = mio.load_model_package(teacher).to_toy_model()
+            mio.load_calibration_factors(calib, model)
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("where", WHERE)
+    def test_cli_refuses(self, pipeline, tmp_path, capsys, where, name):
+        teacher, calib = self._damaged(pipeline, tmp_path, where, name)
+        root = pipeline[0]
+        before = _files(tmp_path)
+        capsys.readouterr()
+        assert run(["compress", "--model", str(teacher), "--calib", str(calib),
+                    "--ranks", str(root / "ranks.json"), "--out", str(tmp_path / "s"),
+                    "--report", str(tmp_path / "report.json")]) == EXIT_FORMAT
+        err = _one_error_line(capsys)
+        assert err["error"] == "PackageFormatError" and "file name" in err["message"]
+        assert _files(tmp_path) == before
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("cmd, out", [("calibrate", "teacher"), ("compress", "teacher"),
                                           ("compress", "calib")])
     def test_out_that_is_an_input_is_usage_error(self, pipeline, tmp_path, capsys,
                                                  monkeypatch, cmd, out):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         shutil.copytree(teacher, tmp_path / "teacher")
         shutil.copytree(calib, tmp_path / "calib")
         monkeypatch.chdir(tmp_path)
         inputs = ["--model", str(tmp_path / "teacher")]
         if cmd == "compress":
-            inputs += ["--calib", str(tmp_path / "calib"), "--uniform", "0.5"]
+            inputs += ["--calib", str(tmp_path / "calib"), "--ranks", str(root / "ranks.json")]
         before = _files(tmp_path)
         # the inputs are given as absolute paths, --out as a relative one
         assert run([cmd, *inputs, "--out", f"./{out}"]) == EXIT_USAGE
@@ -819,14 +889,14 @@ class TestOutputDirectory:
     ])
     def test_output_inside_an_input_is_usage_error(self, pipeline, tmp_path, capsys,
                                                    monkeypatch, cmd, flag, target):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         shutil.copytree(teacher, tmp_path / "teacher")
         shutil.copytree(calib, tmp_path / "calib")
         monkeypatch.chdir(tmp_path)
         argv = {
             "fermigrad": ["--target-ratio", "0.6", "--r-min", "2", "--iters", "5",
                           "--out-ranks", "r.json"],
-            "compress": ["--uniform", "0.5", "--out", "student"],
+            "compress": ["--ranks", str(root / "ranks.json"), "--out", "student"],
             "compare": ["--uniform", "--target-ratio", "0.6", "--r-min", "2"],
             "calibrate": ["--out", "c2"],
         }[cmd]
@@ -847,17 +917,19 @@ class TestOutputDirectory:
          "--report ./r.json is the --out-ranks output"),
         ("fermigrad", ["--out-ranks", "r.json", "--trajectory", "r.json"],
          "--trajectory ./r.json is the --out-ranks output"),
-        ("compress", ["--uniform", "0.5", "--out", "s", "--report", "s/manifest.json"],
+        ("compress", ["--out", "s", "--report", "s/manifest.json"],
          "--report ./s/manifest.json lies inside the --out output"),
     ], ids=["report-is-ranks", "trajectory-is-ranks", "report-inside-out"])
     def test_output_that_is_another_output_is_usage_error(self, pipeline, tmp_path, capsys,
                                                          monkeypatch, cmd, argv, message):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         monkeypatch.chdir(tmp_path)
         # the second output is given with a ./ prefix: paths compare resolved
         argv = [*argv[:-1], f"./{argv[-1]}"]
         if cmd == "fermigrad":
             argv = ["--target-ratio", "0.6", "--r-min", "2", "--iters", "5", *argv]
+        else:
+            argv = ["--ranks", str(root / "ranks.json"), *argv]
         assert run([cmd, "--model", str(teacher), "--calib", str(calib), *argv]) == EXIT_USAGE
         err = _one_error_line(capsys)
         assert err["error"] == "ValueError" and err["message"] == message
@@ -901,24 +973,23 @@ class TestNonFiniteFlags:
         assert err["error"] == "ValueError" and topic in err["message"]
         assert not ranks.exists()
 
-    def test_compress_rejects_nonfinite_uniform(self, pipeline, tmp_path, capsys):
-        # and every other fraction outside (0, 1]
-        _, teacher, calib = pipeline
-        out = tmp_path / "s"
-        for kappa in ("nan", "inf", "0", "-1", "7"):
-            code = run(["compress", "--model", str(teacher), "--calib", str(calib),
-                        "--uniform", kappa, "--out", str(out)])
-            assert code == EXIT_USAGE, kappa
-            err = _one_error_line(capsys)
-            assert err["error"] == "ValueError" and "(0, 1]" in err["message"]
-            assert not out.exists()
+    def test_compress_has_no_uniform_flag(self, pipeline, tmp_path, capsys):
+        # uniform ranks are a ranks file away; compress computes no ranks itself
+        root, teacher, calib = pipeline
+        code = run(["compress", "--model", str(teacher), "--calib", str(calib),
+                    "--ranks", str(root / "ranks.json"), "--uniform", "0.5",
+                    "--out", str(tmp_path / "s")])
+        assert code == EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert err["error"] == "ValueError" and "--uniform" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("cmd", ["fermigrad", "compare"])
     def test_target_ratio_overflowing_the_target(self, pipeline, tmp_path, capsys, cmd):
         # a finite ratio whose product with the dense count is not
-        _, teacher, calib = pipeline
-        argv = _consumer_argvs(teacher, calib, tmp_path)[cmd]
+        root, teacher, calib = pipeline
+        argv = _consumer_argvs(root, teacher, calib, tmp_path)[cmd]
         argv[argv.index("--target-ratio") + 1] = "1e308"
         capsys.readouterr()
         assert run(argv) == EXIT_USAGE
@@ -943,9 +1014,9 @@ class TestTooLargeToAllocate:
                                            ("compare", "--samples")])
     def test_sample_count_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch,
                                          cmd, flag):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         monkeypatch.setattr(tm, "gen_calibration", self.refuse)
-        argv = {**_consumer_argvs(teacher, calib, tmp_path),
+        argv = {**_consumer_argvs(root, teacher, calib, tmp_path),
                 "calibrate": ["calibrate", "--model", str(teacher),
                               "--out", str(tmp_path / "c")]}[cmd]
         capsys.readouterr()
@@ -968,10 +1039,10 @@ class TestTooLargeToAllocate:
 
     def test_memory_error_elsewhere_is_not_a_usage_error(self, pipeline, tmp_path,
                                                          monkeypatch):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         monkeypatch.setattr(fg, "optimize_ranks", self.refuse)
         with pytest.raises(MemoryError):
-            run(_consumer_argvs(teacher, calib, tmp_path)["fermigrad"])
+            run(_consumer_argvs(root, teacher, calib, tmp_path)["fermigrad"])
 
 
 class TestFactorStore:
@@ -987,7 +1058,7 @@ class TestFactorStore:
             assert np.array_equal(f.A, g.A) and np.array_equal(f.B, g.B)
 
     def test_only_calibrate_factorizes(self, pipeline, tmp_path, monkeypatch):
-        _, teacher, _ = pipeline
+        root, teacher, _ = pipeline
         calls = {"cholesky_whiten": 0, "left_singular_vectors": 0}
         for name in calls:
             original = getattr(linalg, name)
@@ -1004,7 +1075,7 @@ class TestFactorStore:
         assert run(["calibrate", "--model", str(teacher), "--samples", "64",
                     "--seed", "2", "--out", str(calib)]) == EXIT_OK
         assert calls == {"cholesky_whiten": 2, "left_singular_vectors": 2}
-        for cmd, argv in _consumer_argvs(teacher, calib, tmp_path).items():
+        for cmd, argv in _consumer_argvs(root, teacher, calib, tmp_path).items():
             assert run(argv) == EXIT_OK, cmd
         assert calls == {"cholesky_whiten": 2, "left_singular_vectors": 2}
 
@@ -1015,7 +1086,7 @@ class TestFactorStore:
         assert run(["gen-teacher", "--spec", str(root / "spec.json"), "--seed", "6",
                     "--out", str(tmp_path / "teacher")]) == EXIT_OK
         capsys.readouterr()
-        code = run(_consumer_argvs(tmp_path / "teacher", calib, tmp_path)[cmd])
+        code = run(_consumer_argvs(root, tmp_path / "teacher", calib, tmp_path)[cmd])
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError" and "another teacher" in err["message"]
@@ -1033,40 +1104,40 @@ class TestFactorStore:
         for name in ("layer_00.W.lrmx", "layer_01.W.lrmx"):
             assert (tmp_path / "teacher" / name).read_bytes() == (teacher / name).read_bytes()
         capsys.readouterr()
-        code = run(_consumer_argvs(tmp_path / "teacher", calib, tmp_path)[cmd])
+        code = run(_consumer_argvs(root, tmp_path / "teacher", calib, tmp_path)[cmd])
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError" and "re-run calibrate" in err["message"]
 
     def test_package_without_factors_is_format_error(self, pipeline, tmp_path, capsys):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bare = tmp_path / "calib"
         shutil.copytree(calib, bare)
         _edit_manifest(bare, lambda m: m.pop("teacher_sha256"))
-        code = run(_consumer_argvs(teacher, bare, tmp_path)["compress"])
+        code = run(_consumer_argvs(root, teacher, bare, tmp_path)["compress"])
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError" and "re-run calibrate" in err["message"]
 
     def test_wrong_factor_shape_is_format_error(self, pipeline, tmp_path, capsys):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         A = mio.read_matrix(bad / "layer_00.A.lrmx")
         mio.write_matrix(bad / "layer_00.A.lrmx", A[:, :-1])
-        code = run(_consumer_argvs(teacher, bad, tmp_path)["fermigrad"])
+        code = run(_consumer_argvs(root, teacher, bad, tmp_path)["fermigrad"])
         assert code == EXIT_FORMAT
         assert "A is (16, 15)" in _one_error_line(capsys)["message"]
 
     def test_nonfinite_factor_is_format_error(self, pipeline, tmp_path, capsys):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         A = mio.read_matrix(bad / "layer_01.A.lrmx")
         A[0, 0] = np.nan
         mio.write_matrix(bad / "layer_01.A.lrmx", A)
         before = _files(tmp_path)
-        for cmd, argv in _consumer_argvs(teacher, bad, tmp_path).items():
+        for cmd, argv in _consumer_argvs(root, teacher, bad, tmp_path).items():
             assert run(argv) == EXIT_FORMAT, cmd
             err = _one_error_line(capsys)
             assert err["error"] == "PackageFormatError", cmd
@@ -1074,11 +1145,11 @@ class TestFactorStore:
         assert _files(tmp_path) == before
 
     def test_layer_entry_removed_is_format_error(self, pipeline, tmp_path, capsys):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         _edit_manifest(bad, lambda m: m["layers"].pop())
-        code = run(_consumer_argvs(teacher, bad, tmp_path)["compress"])
+        code = run(_consumer_argvs(root, teacher, bad, tmp_path)["compress"])
         assert code == EXIT_FORMAT
         assert "1 layers for 2 teacher layers" in _one_error_line(capsys)["message"]
         assert not (tmp_path / "student").exists()
@@ -1091,23 +1162,23 @@ class TestFactorStore:
     ])
     def test_damaged_calibration_matrix_is_format_error(self, pipeline, tmp_path, capsys,
                                                         damage, message):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         damage(bad / "layer_00.C.lrmx")
         capsys.readouterr()
-        code = run(_consumer_argvs(teacher, bad, tmp_path)["compress"])
+        code = run(_consumer_argvs(root, teacher, bad, tmp_path)["compress"])
         assert code == EXIT_FORMAT
         err = _one_error_line(capsys)
         assert err["error"] == "PackageFormatError" and message in err["message"]
         assert not (tmp_path / "student").exists()
 
     def test_missing_factor_file_is_io_error(self, pipeline, tmp_path, capsys):
-        _, teacher, calib = pipeline
+        root, teacher, calib = pipeline
         bad = tmp_path / "calib"
         shutil.copytree(calib, bad)
         (bad / "layer_01.B.lrmx").unlink()
-        code = run(_consumer_argvs(teacher, bad, tmp_path)["compare"])
+        code = run(_consumer_argvs(root, teacher, bad, tmp_path)["compare"])
         assert code == EXIT_IO
         assert _one_error_line(capsys)["error"] == "FileNotFoundError"
 

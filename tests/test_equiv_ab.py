@@ -82,9 +82,10 @@ def test_one_desk_teacher_against_itself(equiv_ab, tmp_path):
     assert summary["equivalent"], summary
     assert summary["failed_commands"] == [] and summary["mismatched"] == []
     assert summary["largest_rel_diff"] == 0.0
-    assert len(doc["commands"]["parent"]) == 5
+    assert len(doc["commands"]["parent"]) == 6
     d = "desk/teacher0/linear"
-    for name in ("ranks.json", "trajectory.csv", "student/manifest.json"):
+    for name in ("ranks.json", "trajectory.csv", "student/manifest.json",
+                 "student_plain/manifest.json"):
         assert doc["files"][f"{d}/{name}"]["identical_bytes"], name
     assert doc["max_rel_diff"][f"{d}/fermigrad.json"]["kl_eval"] == 0.0
     assert doc["max_rel_diff"][f"{d}/trajectory.csv"]["mu_0"] == 0.0
