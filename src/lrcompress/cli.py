@@ -233,16 +233,20 @@ def cmd_fermigrad(args) -> int:
     sched = fg.RhoSchedule()
     opt = fg.OptimizerConfig(step_size=args.step, max_iters=args.iters)
     timings.lap("load")
-    data = _draw(model.spec, args.kl_samples, args.seed, "--kl-samples")
-    trajectory, alloc = fg.optimize_ranks(model, data, budget, cfg, sched, opt)
-    del data  # free the training samples before the held-out set is drawn
+    # passed inline, the training samples are freed once optimize_ranks has read them
+    trajectory, alloc = fg.optimize_ranks(
+        model, _draw(model.spec, args.kl_samples, args.seed, "--kl-samples"),
+        budget, cfg, sched, opt)
     timings.lap("optimize")
     mio.write_ranks_file(args.out_ranks, alloc)
     if args.trajectory:
         mio.write_trajectory_csv(args.trajectory, trajectory)
     timings.lap("write")
 
+    # the held-out draw's transient and the float64 factors are never alive together
+    model.factors = None
     eval_data = _draw(model.spec, args.kl_samples, args.seed + 1, "--kl-samples")
+    model.factors = mio.load_calibration_factors(args.calib, model)
     uniform = fg.uniform_ranks(model.spec.layer_shapes, budget, r_min=cfg.r_min)
     evaluation, uniform_eval = tm.evaluate_allocations(model, eval_data,
                                                        [alloc.ranks, uniform.ranks])
@@ -290,8 +294,10 @@ def cmd_compare(args) -> int:
     ranks_files = [_labelled(item) for item in args.ranks or []]
     _check_outputs(args, ["out"], ["model", "calib"],
                    [("ranks", path) for _, path in ranks_files])
-    model = _load_factored(args)
+    model = mio.load_model_package(args.model).to_toy_model()
+    # drawn before the stored factors are read, so its transient and they never overlap
     data = _draw(model.spec, args.samples, args.seed, "--samples")
+    model.factors = mio.load_calibration_factors(args.calib, model)
 
     entries = [(label, _read_ranks(path, model.spec.caps())) for label, path in ranks_files]
     timings.lap("load")

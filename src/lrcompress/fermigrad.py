@@ -360,17 +360,23 @@ def _loop_errstate():
     return np.errstate(over="ignore", invalid="ignore")
 
 
+def _loop_dtype(layers) -> np.dtype:
+    """float32 once the widest layer is ``FLOAT32_MIN_WIDTH`` or wider, float64 below."""
+    widest = max(max(f.A.shape[0], f.B.shape[1]) for f in layers)
+    return np.dtype(np.float32 if widest >= FLOAT32_MIN_WIDTH else np.float64)
+
+
 class _Net:
     """What a FermiGrad iteration reads and never changes, set up once per run:
-    the loop dtype, each layer's factors in it (B_0 as given: the loop reads
-    B_0 @ x only) and rank, the activation pair, the gate index grid and the
-    gate widths N_l * T (the same float products ``fermi_factors`` forms)."""
+    the loop dtype, each layer's factors in it and rank, the activation pair,
+    the gate index grid and the gate widths N_l * T (the same float products
+    ``fermi_factors`` forms). Layer 0 holds no B: the loop reads the input
+    only as B_0 @ x, which callers form."""
 
     def __init__(self, layers, nonlinearity: str, cfg: FermiConfig):
-        widest = max(max(f.A.shape[0], f.B.shape[1]) for f in layers)
-        self.dtype = np.dtype(np.float32 if widest >= FLOAT32_MIN_WIDTH else np.float64)
+        self.dtype = _loop_dtype(layers)
         self.layers = [(f.A.astype(self.dtype, copy=False),
-                        f.B.astype(self.dtype, copy=False) if l else f.B, f.rank)
+                        f.B.astype(self.dtype, copy=False) if l else None, f.rank)
                        for l, f in enumerate(layers)]
         self.act, self.act_deriv = ACTIVATIONS[nonlinearity]
         caps = np.array([f.rank for f in layers], dtype=np.float64)
@@ -480,7 +486,8 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     ``model`` must expose ``dense_weights`` (teacher), ``factors`` (full-rank
     data-aware factor pairs, frozen) and ``nonlinearity``. ``data`` holds
     training samples as columns and is cycled through in fixed order, so the
-    whole loop is deterministic.
+    whole loop is deterministic. It is read once, before the loop: passed
+    without another reference, it is freed before the loop's set-up.
 
     Each iteration: evaluate KL + penalty gradient on the current batch,
     take one projected gradient step (clamp to the box), advance rho. Stops
@@ -513,7 +520,6 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
     # An overflowing step, past what _loss_grad refuses, is bounded by the clip
     # to the box.
     with _loop_errstate():
-        net = _Net(model.factors, model.nonlinearity, fermi_cfg)
         # The teacher's log p (float64) and B_0 @ x (loop dtype) of each sample
         # the loop can reach, formed once, one consecutive batch at a time. They
         # are stored sample-major, so that a batch is one contiguous block of
@@ -521,12 +527,16 @@ def optimize_ranks(model, data, budget: BudgetConstraint, fermi_cfg: FermiConfig
         # resident after a 1024^2 fixture run (glibc malloc).
         reach = min(n_samples, opt_cfg.max_iters * bs)
         log_ps = np.empty((reach, model.dense_weights[-1].shape[0]))
-        u0s = np.empty((reach, model.factors[0].rank), dtype=net.dtype)
+        u0s = np.empty((reach, model.factors[0].rank), dtype=_loop_dtype(model.factors))
         for s in range(0, reach, bs):
             batch = data[:, np.arange(s, min(s + bs, reach))]
             logits = dense_forward(model.dense_weights, model.nonlinearity, batch)
             log_ps[s:s + bs] = _log_softmax(logits, axis=0).T
             u0s[s:s + bs] = (model.factors[0].B @ batch).T
+        # the loop reads the samples only through log_ps and u0s: data passed
+        # inline is freed here, before _Net makes its float32 copies
+        del data
+        net = _Net(model.factors, model.nonlinearity, fermi_cfg)
 
         for t in range(opt_cfg.max_iters):
             # the batch's samples, wrapping past the last one, copied back to C

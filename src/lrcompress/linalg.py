@@ -82,8 +82,11 @@ def left_singular_vectors(M) -> np.ndarray:
     """
     M = as_matrix(M, "M")
     Q, R = np.linalg.qr(M) if M.shape[0] > M.shape[1] else (None, M)
+    G = R @ R.T
+    # only the Gram matrix (and Q) reaches eigh: an M passed inline is freed here
+    del M, R
     try:
-        _, V = np.linalg.eigh(R @ R.T)
+        _, V = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from None
     U = np.ascontiguousarray(V[:, ::-1]) if Q is None else Q @ V[:, ::-1]

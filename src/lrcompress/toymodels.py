@@ -26,8 +26,8 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .fermigrad import BudgetConstraint, RankAllocation, count_params
-from .linalg import as_matrix, cholesky_whiten
-from .svdcompress import data_aware_svd
+from .linalg import as_matrix, cholesky_whiten, left_singular_vectors
+from .svdcompress import LowRankFactors
 
 # Condition number of the calibration input covariance.
 CALIB_COND = 100.0
@@ -262,8 +262,11 @@ def attach_factors_from_calibration(model: ToyModel, mats) -> ToyModel:
             raise DimensionMismatch(
                 f"calibration dim {C.shape[0]} does not match layer input {W.shape[1]}"
             )
-        S = cholesky_whiten(C)
-        factors.append(data_aware_svd(W, S, min(W.shape)))
+        # data_aware_svd at full rank, with S and W @ S passed inline: both are
+        # freed before left_singular_vectors' eigh
+        W = as_matrix(W, "W")
+        A = left_singular_vectors(W @ cholesky_whiten(C))
+        factors.append(LowRankFactors(A=A, B=A.T @ W))
     model.factors = factors
     return model
 

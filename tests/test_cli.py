@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1181,6 +1182,99 @@ class TestFactorStore:
         code = run(_consumer_argvs(root, teacher, bad, tmp_path)["compare"])
         assert code == EXIT_IO
         assert _one_error_line(capsys)["error"] == "FileNotFoundError"
+
+
+def _weakly_recorded(refs, f, keep=lambda *args: True):
+    """``f``, recording a weak reference to each result whose arguments pass ``keep``;
+    the wrapper holds no strong reference once it returns."""
+    def recorded(*args, **kwargs):
+        out = f(*args, **kwargs)
+        if keep(*args):
+            refs.append(weakref.ref(out))
+        return out
+    return recorded
+
+
+class TestArrayLifetimes:
+    """Which large arrays are alive where a command reaches its memory peak."""
+
+    @pytest.mark.parametrize("spec", [None, {"layer_shapes": [[24, 16], [12, 24]],
+                                             "planted_ranks": [4, 6], "seed": 3}],
+                             ids=["square", "tall-and-wide"])
+    def test_calibrate_eigh_sees_neither_whitening_nor_product(self, tmp_path, monkeypatch,
+                                                              spec):
+        gen = ["gen-teacher", "--out", str(tmp_path / "teacher")]
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            gen += ["--spec", str(tmp_path / "spec.json")]
+        assert run(gen) == EXIT_OK
+        whitening, products, at_eigh = [], [], []
+        monkeypatch.setattr(tm, "cholesky_whiten", _weakly_recorded(whitening, tm.cholesky_whiten))
+        # left_singular_vectors reads its argument, W @ S, through as_matrix(M, "M")
+        monkeypatch.setattr(linalg, "as_matrix", _weakly_recorded(
+            products, linalg.as_matrix, keep=lambda a, name="matrix": name == "M"))
+        eigh = np.linalg.eigh
+
+        def recorded_eigh(G, *args, **kwargs):
+            at_eigh.append((len(whitening), len(products),
+                            [r() is not None for r in whitening + products]))
+            return eigh(G, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        assert run(["calibrate", "--model", str(tmp_path / "teacher"), "--samples", "64",
+                    "--out", str(tmp_path / "calib")]) == EXIT_OK
+        layers = len(mio.load_model_package(tmp_path / "teacher").layers)
+        assert len(at_eigh) == layers
+        for l, (n_whitening, n_products, alive) in enumerate(at_eigh):
+            assert (n_whitening, n_products) == (l + 1, l + 1)
+            assert not any(alive), f"layer {l}: S or W @ S alive at eigh"
+
+    def test_fermigrad_frees_training_draw_and_factors(self, tmp_path, monkeypatch):
+        teacher, calib = tmp_path / "teacher", tmp_path / "calib"
+        assert run(["gen-teacher", "--out", str(teacher)]) == EXIT_OK
+        assert run(["calibrate", "--model", str(teacher), "--samples", "128",
+                    "--out", str(calib)]) == EXIT_OK
+        models, draws, factors_at_draw, draw_alive_at_net = [], {}, {}, []
+        load_factors, gen_calibration, net = mio.load_calibration_factors, tm.gen_calibration, \
+            fg._Net
+
+        def recorded_load(path, model):
+            models.append(model)
+            return load_factors(path, model)
+
+        def recorded_draw(spec, n_samples, seed):
+            factors_at_draw[seed] = models[-1].factors
+            X = gen_calibration(spec, n_samples, seed)
+            draws[seed] = weakref.ref(X)
+            return X
+
+        def recorded_net(*args, **kwargs):
+            draw_alive_at_net.append(draws[7]() is not None)
+            return net(*args, **kwargs)
+
+        monkeypatch.setattr(mio, "load_calibration_factors", recorded_load)
+        monkeypatch.setattr(tm, "gen_calibration", recorded_draw)
+        monkeypatch.setattr(fg, "_Net", recorded_net)
+        assert run(["fermigrad", "--model", str(teacher), "--calib", str(calib),
+                    "--target-ratio", "0.6", "--n-scale", "1e7", "--iters", "20",
+                    "--kl-samples", "64", "--seed", "7",
+                    "--out-ranks", str(tmp_path / "r.json")]) == EXIT_OK
+        assert sorted(draws) == [7, 8]
+        assert factors_at_draw[7] is not None
+        assert factors_at_draw[8] is None, "factors alive while the held-out set is drawn"
+        assert draw_alive_at_net == [False], "training draw alive when the loop is set up"
+        assert len({id(m) for m in models}) == 1 and models[0].factors is not None
+
+    def test_compare_draws_before_reading_factors(self, pipeline, tmp_path, monkeypatch):
+        root, teacher, calib = pipeline
+        events = []
+        load_factors, gen_calibration = mio.load_calibration_factors, tm.gen_calibration
+        monkeypatch.setattr(mio, "load_calibration_factors",
+                            lambda *a: events.append("factors") or load_factors(*a))
+        monkeypatch.setattr(tm, "gen_calibration",
+                            lambda *a: events.append("draw") or gen_calibration(*a))
+        assert run(_consumer_argvs(root, teacher, calib, tmp_path)["compare"]) == EXIT_OK
+        assert events == ["draw", "factors"]
 
 
 class TestColdStart:

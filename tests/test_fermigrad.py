@@ -534,14 +534,16 @@ class TestLoopEquivalence:
         for shapes in ([(64, 64)] * 4, [(cutoff - 1, 16), (16, cutoff - 1)]):
             narrow = net(shapes)
             assert narrow.dtype == np.float64
-            assert all(M.dtype == np.float64 for A, B, _ in narrow.layers for M in (A, B))
+            (A0, B0, _), *rest = narrow.layers
+            assert A0.dtype == np.float64 and B0 is None
+            assert all(M.dtype == np.float64 for A, B, _ in rest for M in (A, B))
         for shapes in ([(16, cutoff), (16, 16)], [(16, 16), (cutoff, 16)],
                        [(1024, 1024)] * 2):
             wide = net(shapes)
             assert wide.dtype == np.float32
             (A0, B0, _), *rest = wide.layers
-            # the loop reads B_0 only through B_0 @ x, formed in float64
-            assert A0.dtype == np.float32 and B0.dtype == np.float64
+            # the loop reads B_0 only through B_0 @ x, which callers form in float64
+            assert A0.dtype == np.float32 and B0 is None
             assert all(M.dtype == np.float32 for A, B, _ in rest for M in (A, B))
 
     def test_aligned_data_runs_teacher_once_per_reachable_batch(self, monkeypatch):
